@@ -217,6 +217,17 @@ class CFactorization:
     balance: tuple[int, int]
 
 
+def _omitted_variables(fam: QFamily, n: int) -> list[int]:
+    """The variable each minimal prime of the first member omits, sorted."""
+    omegas = []
+    for cover in fam.members[0].minimal_primes():
+        if len(cover) != n - 1:
+            raise RuntimeError("family member has a minimal prime of bad height")
+        (omega,) = set(range(n)) - cover
+        omegas.append(omega)
+    return sorted(omegas)
+
+
 def factor_C(I: MonomialIdeal) -> CFactorization:
     """Split a member of C along the minimal primes of its first member.
 
@@ -232,14 +243,7 @@ def factor_C(I: MonomialIdeal) -> CFactorization:
     n = I.n
     if fam.s == 0:
         return CFactorization((), (0, d))
-    covers = fam.members[0].minimal_primes()
-    omegas = []
-    for cover in covers:
-        if len(cover) != n - 1:
-            raise RuntimeError("family member has a minimal prime of bad height")
-        (omega,) = set(range(n)) - cover
-        omegas.append(omega)
-    omegas.sort()
+    omegas = _omitted_variables(fam, n)
     local_fams = []
     factors = []
     for omega in omegas:
@@ -401,14 +405,7 @@ def goto_form(I: MonomialIdeal) -> tuple[GForm | None, str]:
     n = I.n
     if fam.s == 0:
         return GForm.of(I.order, {}), ""
-    covers = fam.members[0].minimal_primes()
-    omegas = []
-    for cover in covers:
-        if len(cover) != n - 1:
-            raise RuntimeError("family member has a minimal prime of bad height")
-        (omega,) = set(range(n)) - cover
-        omegas.append(omega)
-    omegas.sort()
+    omegas = _omitted_variables(fam, n)
     columns = {omega: [] for omega in omegas}
     for j in range(fam.s):
         Q = fam.q(j)

@@ -4,20 +4,22 @@ A monomial is an exponent tuple of length n.  A MonomialIdeal stores the
 unique divisibility-minimal generating set, sorted by degree and then
 lexicographically, so structural equality coincides with ideal equality.
 The zero ideal has no generators; the unit ideal is generated by 1, the
-all-zero tuple.  Exponent vectors are validated to stay far below 2**63 so
-the vectorised int64 kernels are exact.
+all-zero tuple.  Exponents are Python ints, so sums, products, powers and
+lcms are exact at any size; every minimalization goes through `_minimal`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-
-import numpy as np
+from operator import add
 
 Monomial = tuple[int, ...]
 
+# Bound on the exponents a caller may pass in; it rejects absurd input early.
+# Results computed from valid input may exceed it: the arithmetic is exact.
 EXPONENT_LIMIT = 1 << 31
 
 
@@ -30,11 +32,11 @@ def mono_deg(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -66,47 +68,43 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def _degree_array(n: int, d: int) -> np.ndarray:
-    arr = np.array(monomials_of_degree(n, d), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+def _minimal(gens) -> tuple[Monomial, ...]:
+    """Divisibility-minimal monomials of gens, sorted by (degree, lex).
+
+    The sweep runs in lex order, where a divisor comes before its multiples,
+    so a monomial is kept unless an already kept one divides it.  Every kept
+    monomial has a first exponent no larger than the current one.  The kept
+    ones are grouped by their middle exponents m[1:-2]; inside a group the
+    last two exponents form a staircase (first rising, second falling) whose
+    only possible divisor of (x, y) is the last step with first exponent <= x.
+    """
+    ms = sorted(set(gens))
+    if not ms or len(ms[0]) == 1:
+        return tuple(ms[:1])
+    groups: dict[Monomial, tuple[list[int], list[int]]] = {}
+    kept = []
+    for m in ms:
+        mid, x, y = m[1:-2], m[-2], m[-1]
+        if any(
+            mono_divides(key, mid) and _under_staircase(xs, neg_ys, x, y)
+            for key, (xs, neg_ys) in groups.items()
+        ):
+            continue
+        kept.append(m)
+        xs, neg_ys = groups.setdefault(mid, ([], []))
+        # drop the steps that (x, y) dominates, then insert it
+        lo = bisect_right(xs, x - 1)
+        hi = bisect_right(neg_ys, -y, lo)
+        xs[lo:hi] = [x]
+        neg_ys[lo:hi] = [-y]
+    kept.sort(key=lambda m: (sum(m), m))
+    return tuple(kept)
 
 
-def _rows(n: int, gens) -> np.ndarray:
-    lst = list(gens)
-    if not lst:
-        return np.empty((0, n), dtype=np.int64)
-    return np.array(lst, dtype=np.int64)
-
-
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    """Divisibility-minimal rows, sorted by (degree, lex)."""
-    if len(rows) == 0:
-        return rows
-    rows = np.unique(rows, axis=0)
-    deg = rows.sum(axis=1)
-    rows = rows[np.argsort(deg, kind="stable")]
-    deg = rows.sum(axis=1)
-    kept: list[np.ndarray] = []
-    i = 0
-    while i < len(rows):
-        j = i
-        while j < len(rows) and deg[j] == deg[i]:
-            j += 1
-        grp = rows[i:j]
-        if kept:
-            base = kept[0] if len(kept) == 1 else np.concatenate(kept)
-            dominated = (base[None, :, :] <= grp[:, None, :]).all(axis=2).any(axis=1)
-            grp = grp[~dominated]
-        if len(grp):
-            kept.append(grp)
-        i = j
-    return np.concatenate(kept) if kept else rows[:0]
-
-
-def _to_tuples(rows: np.ndarray) -> tuple[Monomial, ...]:
-    return tuple(tuple(int(e) for e in row) for row in rows)
+def _under_staircase(xs: list[int], neg_ys: list[int], x: int, y: int) -> bool:
+    """Whether some step (xs[i], -neg_ys[i]) is <= (x, y) in both exponents."""
+    i = bisect_right(xs, x)
+    return i > 0 and -neg_ys[i - 1] <= y
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,7 @@ class MonomialIdeal:
     @classmethod
     def of(cls, n: int, gens) -> "MonomialIdeal":
         """Build an ideal from any generating set; minimalizes and sorts."""
-        checked = [_check_monomial(n, m) for m in gens]
-        return cls(n, _to_tuples(_minimal_rows(_rows(n, checked))))
+        return cls(n, _minimal(_check_monomial(n, m) for m in gens))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -147,9 +144,6 @@ class MonomialIdeal:
         return cls(n, monomials_of_degree(n, d))
 
     # -- basic shape ---------------------------------------------------
-
-    def array(self) -> np.ndarray:
-        return _rows(self.n, self.gens)
 
     @property
     def mu(self) -> int:
@@ -184,7 +178,7 @@ class MonomialIdeal:
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._match(other)
-        return all(self.contains_monomial(g) for g in other.gens)
+        return all(any(mono_divides(g, h) for g in self.gens) for h in other.gens)
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return other.contains_ideal(self)
@@ -199,25 +193,18 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._match(other)
-        rows = np.concatenate([self.array(), other.array()])
-        return MonomialIdeal(self.n, _to_tuples(_minimal_rows(rows)))
+        return MonomialIdeal(self.n, _minimal(self.gens + other.gens))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._match(other)
-        a, b = self.array(), other.array()
-        if len(a) == 0 or len(b) == 0:
-            return MonomialIdeal.zero(self.n)
-        prod = (a[:, None, :] + b[None, :, :]).reshape(-1, self.n)
-        return MonomialIdeal(self.n, _to_tuples(_minimal_rows(prod)))
+        prods = [mono_mul(a, b) for a in self.gens for b in other.gens]
+        return MonomialIdeal(self.n, _minimal(prods))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection: generated by pairwise lcms."""
         self._match(other)
-        a, b = self.array(), other.array()
-        if len(a) == 0 or len(b) == 0:
-            return MonomialIdeal.zero(self.n)
-        lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.n)
-        return MonomialIdeal(self.n, _to_tuples(_minimal_rows(lcms)))
+        lcms = [mono_lcm(a, b) for a in self.gens for b in other.gens]
+        return MonomialIdeal(self.n, _minimal(lcms))
 
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 0:
@@ -238,21 +225,20 @@ class MonomialIdeal:
         """The ideal generated by all degree-j monomials of the ideal."""
         if j < 0:
             raise ValueError("negative degree")
-        if self.is_zero():
-            return self
-        cands = _degree_array(self.n, j)
-        g = self.array()
-        keep = (g[None, :, :] <= cands[:, None, :]).all(axis=2).any(axis=1)
-        return MonomialIdeal(self.n, _to_tuples(cands[keep]))
+        multiples = {
+            mono_mul(g, m)
+            for g in self.gens
+            if mono_deg(g) <= j
+            for m in monomials_of_degree(self.n, j - mono_deg(g))
+        }
+        return MonomialIdeal(self.n, tuple(sorted(multiples)))
 
     def saturate_var(self, i: int) -> "MonomialIdeal":
         """The colon ideal I : x_i^infinity (x_i-exponents zeroed out)."""
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range")
-        rows = self.array().copy()
-        if len(rows):
-            rows[:, i] = 0
-        return MonomialIdeal(self.n, _to_tuples(_minimal_rows(rows)))
+        zeroed = [g[:i] + (0,) + g[i + 1 :] for g in self.gens]
+        return MonomialIdeal(self.n, _minimal(zeroed))
 
     def saturate(self) -> "MonomialIdeal":
         """I : M^infinity, the intersection of all I : x_i^infinity."""
@@ -342,9 +328,7 @@ def _is_pure_power(g: Monomial, i: int) -> bool:
 @lru_cache(maxsize=None)
 def _project_slice(gens: tuple[Monomial, ...], bound: int) -> tuple[Monomial, ...]:
     """Generators with first exponent <= bound, first coordinate dropped."""
-    keep = [g[1:] for g in gens if g[0] <= bound]
-    n = len(gens[0]) - 1 if gens else 0
-    return _to_tuples(_minimal_rows(_rows(n, keep)))
+    return _minimal(g[1:] for g in gens if g[0] <= bound)
 
 
 @lru_cache(maxsize=None)

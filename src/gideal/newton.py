@@ -10,13 +10,12 @@ direction.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
-import numpy as np
-
-from .ideals import MonomialIdeal, _degree_array, _minimal_rows, _to_tuples, mono_deg
+from .ideals import MonomialIdeal, _minimal, mono_deg, monomials_of_degree
 from .lp import max_convex_cover
 
 
@@ -29,35 +28,26 @@ class NewtonMembership:
         self.ideal = ideal
         self.columns = [tuple(g) for g in ideal.gens]
         # integer separators (w, c): w.v < c implies v is outside
-        self._seps: list[tuple[np.ndarray, int]] = []
-
-    def separate_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows already known to be outside."""
-        out = np.zeros(len(rows), dtype=bool)
-        for w, c in self._seps:
-            out |= rows @ w < c
-        return out
+        self._seps: list[tuple[tuple[int, ...], int]] = []
 
     def contains(self, v: tuple[int, ...]) -> bool:
         if self.ideal.is_unit():
             return True
+        # a separator never rejects a point of the polyhedron, so the cheap
+        # cached test goes first
+        if any(sum(map(mul, w, v)) < c for w, c in self._seps):
+            return False
         if self.ideal.contains_monomial(v):
             return True
         if mono_deg(v) < self.ideal.order:
             return False
-        arr = np.array(v, dtype=np.int64)
-        for w, c in self._seps:
-            if arr @ w < c:
-                return False
         opt, dual = max_convex_cover(self.columns, tuple(v))
         if opt >= 1:
             return True
         den = 1
         for y in dual:
             den = den * y.denominator // gcd(den, y.denominator)
-        w = np.array([int(y * den) for y in dual], dtype=np.int64)
-        if den < (1 << 40) and int(np.abs(w).max(initial=0)) < (1 << 40):
-            self._seps.append((w, den))
+        self._seps.append((tuple(int(y * den) for y in dual), den))
         return False
 
 
@@ -65,36 +55,40 @@ class NewtonMembership:
 def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
     """The integral closure of a nonzero monomial ideal.
 
-    Candidates are enumerated up to degree D + n - 1 where D is the largest
-    generator degree: a lattice point of the Newton polyhedron with total
-    slack n or more over its witness combination can be decremented in some
-    coordinate, so every minimal lattice generator lies below that bound.
-    The bound is re-asserted one degree higher at runtime.
+    The search walks up the degrees from the order of I and keeps only the
+    monomials outside the closure.  A minimal generator of degree d has all
+    of its degree-(d-1) divisors outside, so the degree-d candidates are the
+    one-step multiples of the previous outside set whose every such divisor
+    is outside too; each is tested for membership, and the walk stops once
+    no candidate is left.  It also stops past degree D + n - 1, where D is
+    the largest generator degree: a lattice point of the Newton polyhedron
+    with total slack n or more over its witness combination can be
+    decremented in some coordinate, so every minimal lattice generator lies
+    below that bound.  The bound is re-asserted one degree higher at runtime.
     """
     if I.is_zero() or I.is_unit():
         return I
     n = I.n
     member = NewtonMembership(I)
     lo, hi = I.order, I.max_degree + n - 1
-    gen_set = set(I.gens)
     found: list[tuple[int, ...]] = []
+    cands = monomials_of_degree(n, lo)
     for degree in range(lo, hi + 2):
-        cands = _degree_array(n, degree)
-        if found:
-            base = np.array(found, dtype=np.int64)
-            dominated = (base[None, :, :] <= cands[:, None, :]).all(axis=2).any(axis=1)
-            cands = cands[~dominated]
-        if len(cands):
-            cands = cands[~member.separate_batch(cands)]
-        for row in cands:
-            v = tuple(int(e) for e in row)
-            if v in gen_set or member.contains(v):
-                if degree > hi:
-                    raise RuntimeError(
-                        "integral closure generated above the degree bound"
-                    )
+        outside = []
+        for v in cands:
+            if not member.contains(v):
+                outside.append(v)
+            elif degree > hi:
+                raise RuntimeError("integral closure generated above the degree bound")
+            else:
                 found.append(v)
-    result = MonomialIdeal(n, _to_tuples(_minimal_rows(np.array(found, dtype=np.int64))))
+        # a multiple v of the outside set counts once per divisor v - e_i
+        # outside, and has one such divisor per nonzero exponent
+        hits = Counter(u[:i] + (u[i] + 1,) + u[i + 1 :] for u in outside for i in range(n))
+        cands = sorted(v for v, k in hits.items() if k == n - v.count(0))
+        if not cands:
+            break
+    result = MonomialIdeal(n, _minimal(found))
     if not result.contains_ideal(I):
         raise RuntimeError("integral closure lost the ideal it started from")
     return result
@@ -129,8 +123,7 @@ def closure_by_powers(I: MonomialIdeal, k_max: int | None = None) -> MonomialIde
 
     found: list[tuple[int, ...]] = []
     for degree in range(I.order, I.max_degree + n):
-        for v in _degree_array(n, degree):
-            vt = tuple(int(e) for e in v)
+        for vt in monomials_of_degree(n, degree):
             if any(all(f[i] <= vt[i] for i in range(n)) for f in found):
                 continue
             if integral(vt):

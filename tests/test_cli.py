@@ -1,6 +1,10 @@
 """Command-line driver: exit codes, output shapes, and environment handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,17 @@ class TestDeterminism:
         main(["classify", "--json", path])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestStartup:
+    def test_import_loads_only_the_standard_library(self):
+        code = (
+            "import sys; before = set(sys.modules); import gideal; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'gideal'}))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from gideal import AmbientMismatch, CoordinatePrime, MonomialIdeal
 from gideal.ideals import (
+    _minimal,
     hilbert_function_incl_excl,
     localize_power,
+    mono_divides,
     monomials_of_degree,
     reg_dim1_saturated,
 )
@@ -53,6 +55,12 @@ class TestConstruction:
         with pytest.raises(OverflowError):
             MonomialIdeal.of(2, [(1 << 40, 0)])
 
+    def test_powers_stay_exact_past_the_input_limit(self):
+        I = MonomialIdeal.of(2, [(2**31 - 1, 1)])
+        J = I ** 2**33
+        assert J.gens == ((2**33 * (2**31 - 1), 2**33),)
+        assert J <= I
+
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             MonomialIdeal.maximal(2) + MonomialIdeal.maximal(3)
@@ -62,6 +70,30 @@ class TestConstruction:
         assert M.gens == ((0, 1), (1, 0))
         assert MonomialIdeal.max_power(2, 3) == M**3
         assert M**0 == MonomialIdeal.unit(2)
+
+
+def pairwise_minimal(gens):
+    """Reference minimalization: test every pair for divisibility."""
+    unique = set(gens)
+    kept = [m for m in unique
+            if not any(d != m and mono_divides(d, m) for d in unique)]
+    return tuple(sorted(kept, key=lambda m: (sum(m), m)))
+
+
+class TestMinimal:
+    def test_empty_input(self):
+        assert _minimal([]) == ()
+
+    def test_matches_pairwise_filter(self):
+        rng = random.Random(29)
+        for n in range(1, 6):
+            for _ in range(60):
+                top = rng.randint(1, 6)
+                pool = [tuple(rng.randint(0, top) for _ in range(n))
+                        for _ in range(rng.randint(1, 40))]
+                gens = pool + rng.choices(pool, k=rng.randint(0, 10))
+                rng.shuffle(gens)
+                assert _minimal(gens) == pairwise_minimal(gens)
 
 
 class TestArithmetic:

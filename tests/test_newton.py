@@ -57,15 +57,22 @@ class TestMembership:
         assert m.contains((2, 2))
         assert not m.contains((0, 2))
 
-    def test_separators_reject_in_batch(self):
-        import numpy as np
-
+    def test_cached_separator_rejects_without_simplex(self, monkeypatch):
         m = NewtonMembership(I2((4, 0), (0, 2)))
         assert not m.contains((3, 0))
         assert len(m._seps) == 1
-        rows = np.array([[3, 0], [1, 1], [0, 1], [4, 0], [2, 1]], dtype=np.int64)
-        mask = m.separate_batch(rows)
-        assert list(mask) == [True, True, True, False, False]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_convex_cover(*args)
+
+        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
+        assert not m.contains((1, 1))
+        assert not m.contains((0, 1))
+        assert calls == []
+        assert m.contains((4, 0))
+        assert m.contains((2, 1))
 
 
 class TestClosure:
@@ -111,6 +118,13 @@ class TestClosure:
         rng = random.Random(19)
         for _ in range(8):
             I = random_finite_ideal(rng, 3, max_deg=3)
+            assert newton_closure(I) == closure_by_powers(I)
+
+    def test_against_power_oracle_3vars_infinite_colength(self):
+        rng = random.Random(23)
+        ideals = [random_small_ideal(rng, 3) for _ in range(8)]
+        assert sum(I.colength() is None for I in ideals) >= 6
+        for I in ideals:
             assert newton_closure(I) == closure_by_powers(I)
 
     def test_closed_plus_power_example(self):
