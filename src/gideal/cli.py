@@ -21,7 +21,7 @@ from .classes import (
     is_contracted,
     is_in_C,
 )
-from .hilbert import DEFAULT_TERM_BUDGET, h_polynomial
+from .hilbert import DEFAULT_TERM_BUDGET, format_h, h_polynomial
 from .ideals import MonomialIdeal
 from .newton import is_integrally_closed, newton_closure
 from .textio import IdealDocument, ParseError, format_monomial, parse_document
@@ -144,12 +144,8 @@ def _render_simple_factor(name: str, rep: dict) -> list[str]:
 
 
 def _render_hilbert(name: str, rep: dict) -> list[str]:
-    h = " + ".join(
-        (f"{c}" if j == 0 else f"{c}*z" if j == 1 else f"{c}*z^{j}")
-        for j, c in enumerate(rep["h"])
-        if c
-    )
-    return [f"{name}: h = {h or '0'}, e = {rep['e']}, colength = {rep['colength']}"]
+    h = format_h(rep["h"])
+    return [f"{name}: h = {h}, e = {rep['e']}, colength = {rep['colength']}"]
 
 
 _RENDERERS = {

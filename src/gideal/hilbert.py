@@ -38,16 +38,21 @@ class HilbertSeries:
         return sum(self.coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                z = "z" if j == 1 else f"z^{j}"
-                parts.append(z if c == 1 else f"{c}*{z}")
-        return " + ".join(parts) if parts else "0"
+        return format_h(self.coeffs)
+
+
+def format_h(coeffs) -> str:
+    """Render h-coefficients as a polynomial in z, e.g. `4 + z + 2*z^2`."""
+    parts = []
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        else:
+            z = "z" if j == 1 else f"z^{j}"
+            parts.append(z if c == 1 else f"{c}*{z}")
+    return " + ".join(parts) if parts else "0"
 
 
 def _require_filterable(I: MonomialIdeal) -> None:

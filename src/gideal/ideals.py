@@ -367,34 +367,6 @@ def _outside_at_degree(gens: tuple[Monomial, ...], n: int, t: int) -> int:
     return total
 
 
-def hilbert_function_incl_excl(I: MonomialIdeal, t: int) -> int:
-    """Inclusion-exclusion count of degree-t monomials outside I.
-
-    Exponential in the number of generators; kept as a cross-check oracle
-    for the sliced count used by MonomialIdeal.hilbert_function.
-    """
-    if t < 0:
-        raise ValueError("negative degree")
-    n, gens = I.n, I.gens
-    total = comb(t + n - 1, n - 1)
-    inside = 0
-    m = len(gens)
-    if m > 20:
-        raise ValueError("inclusion-exclusion oracle is limited to 20 generators")
-    for mask in range(1, 1 << m):
-        lcm = (0,) * n
-        bits = 0
-        mm = mask
-        while mm:
-            lcm = mono_lcm(lcm, gens[(mm & -mm).bit_length() - 1])
-            bits += 1
-            mm &= mm - 1
-        r = t - mono_deg(lcm)
-        if r >= 0:
-            inside += (-1) ** (bits + 1) * comb(r + n - 1, n - 1)
-    return total - inside
-
-
 # -- localization and regularity ------------------------------------------
 
 

@@ -97,35 +97,3 @@ def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
 def is_integrally_closed(I: MonomialIdeal) -> bool:
     return newton_closure(I) == I
 
-
-def closure_by_powers(I: MonomialIdeal, k_max: int | None = None) -> MonomialIdeal:
-    """Integral closure by the power test: v is integral over I when
-    x^(k*v) lies in I^k for some k.
-
-    Exponential in everything; retained as a cross-check oracle for small
-    inputs.  The default bound k <= n * max generator degree covers the
-    denominators of vertex witnesses at this scale.
-    """
-    if I.is_zero() or I.is_unit():
-        return newton_closure(I)
-    n = I.n
-    if k_max is None:
-        k_max = n * I.max_degree
-    powers = [None, I]
-    for k in range(2, k_max + 1):
-        powers.append(powers[-1] * I)
-
-    def integral(v: tuple[int, ...]) -> bool:
-        return any(
-            powers[k].contains_monomial(tuple(k * e for e in v))
-            for k in range(1, k_max + 1)
-        )
-
-    found: list[tuple[int, ...]] = []
-    for degree in range(I.order, I.max_degree + n):
-        for vt in monomials_of_degree(n, degree):
-            if any(all(f[i] <= vt[i] for i in range(n)) for f in found):
-                continue
-            if integral(vt):
-                found.append(vt)
-    return MonomialIdeal.of(n, found)

@@ -4,13 +4,13 @@ A staircase is a strictly increasing integer sequence starting at 0.  The
 product of two such ideals convolves their staircases in min-plus
 arithmetic, integral closure is the ceiling of the lower convex hull of the
 staircase points, and the closed staircases factor uniquely into a power of
-the maximal ideal and simple pieces J(d, t) with d < t coprime.
+the maximal ideal and simple pieces J(d, t) with d < t coprime, read off the
+edges of that same hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -72,20 +72,6 @@ def minplus_power(a: Staircase, k: int) -> Staircase:
     return out
 
 
-def closure_seq(a: Staircase) -> Staircase:
-    """Integral closure: a'_j = min over k of ceil of (a^(k))_(kj) / k."""
-    d = a.d
-    if d == 0:
-        return a
-    powers = [None, a]
-    for _ in range(2, d + 1):
-        powers.append(minplus_product(powers[-1], a))
-    out = []
-    for j in range(d + 1):
-        out.append(min(-(-powers[k][k * j] // k) for k in range(1, d + 1)))
-    return Staircase(tuple(out))
-
-
 def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Lower convex hull of points with strictly increasing x (exact)."""
     hull: list[tuple[int, int]] = []
@@ -100,25 +86,21 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def hull_closure_oracle(a: Staircase) -> Staircase:
-    """Closure as the degreewise ceiling of the lower convex hull.
+def _hull_ceiling(hull: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Ceilings of the piecewise-linear hull at x = 0, 1, ..., last x; the
+    first vertex must sit at x = 0."""
+    out = [hull[0][1]]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        dx, dy = x2 - x1, y2 - y1
+        # y1 + ceil(dy * j / dx), in integers
+        out.extend(y1 - (-dy * j // dx) for j in range(1, dx + 1))
+    return tuple(out)
 
-    Independent of the min-plus route; the two must agree everywhere.
-    """
-    pts = list(enumerate(a.steps))
-    hull = _lower_hull(pts)
-    out = []
-    seg = 0
-    for j in range(a.d + 1):
-        while seg + 1 < len(hull) - 1 and hull[seg + 1][0] <= j:
-            seg += 1
-        if len(hull) == 1:
-            out.append(a[0])
-            continue
-        (x1, y1), (x2, y2) = hull[seg], hull[seg + 1]
-        val = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (j - x1)
-        out.append(-(-val.numerator // val.denominator))
-    return Staircase(tuple(out))
+
+def closure_seq(a: Staircase) -> Staircase:
+    """Integral closure: the degreewise ceiling of the lower convex hull of
+    the points (i, a_i), in O(d)."""
+    return Staircase(_hull_ceiling(_lower_hull(list(enumerate(a.steps)))))
 
 
 def jdt_seq(d: int, t: int) -> Staircase:
@@ -172,11 +154,12 @@ def factor_simple(a: Staircase) -> SimpleFactorization:
 
     Each maximal edge of the lower hull with primitive direction (p, q)
     repeated g times contributes g to the maximal-ideal power when p == q
-    and otherwise the simple factor (p, q) with multiplicity g.
+    and otherwise the simple factor (p, q) with multiplicity g.  The input
+    is closed exactly when it is the degreewise ceiling of that hull.
     """
-    if closure_seq(a) != a:
-        raise ValueError("staircase is not integrally closed")
     hull = _lower_hull(list(enumerate(a.steps)))
+    if _hull_ceiling(hull) != a.steps:
+        raise ValueError("staircase is not integrally closed")
     m_power = 0
     factors: dict[tuple[int, int], int] = {}
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):

@@ -1,0 +1,98 @@
+"""Independent second routes for the package's fast paths.
+
+Each function here computes what a shipped function computes, by a
+different and much slower formula.  The tests compare the two; nothing in
+the package imports this module.
+
+- `closure_seq_minplus`: staircase closure by min-plus powers, against the
+  lower-hull `closure_seq`.
+- `closure_by_powers`: integral closure by the power test, against the
+  Newton-polyhedron `newton_closure`.
+- `hilbert_function_incl_excl`: the Hilbert function by
+  inclusion-exclusion over the generators, against the sliced
+  `MonomialIdeal.hilbert_function`.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+from gideal import MonomialIdeal, Staircase, minplus_product, newton_closure
+from gideal.ideals import mono_deg, mono_lcm, monomials_of_degree
+
+
+def closure_seq_minplus(a: Staircase) -> Staircase:
+    """Integral closure: a'_j = min over k of ceil of (a^(k))_(kj) / k.
+
+    Builds the d min-plus powers of a, so it costs O(d^4).
+    """
+    d = a.d
+    if d == 0:
+        return a
+    powers = [None, a]
+    for _ in range(2, d + 1):
+        powers.append(minplus_product(powers[-1], a))
+    out = []
+    for j in range(d + 1):
+        out.append(min(-(-powers[k][k * j] // k) for k in range(1, d + 1)))
+    return Staircase(tuple(out))
+
+
+def closure_by_powers(I: MonomialIdeal, k_max: int | None = None) -> MonomialIdeal:
+    """Integral closure by the power test: v is integral over I when
+    x^(k*v) lies in I^k for some k.
+
+    Exponential in everything; for small inputs only.  The default bound
+    k <= n * max generator degree covers the denominators of vertex
+    witnesses at this scale.
+    """
+    if I.is_zero() or I.is_unit():
+        return newton_closure(I)
+    n = I.n
+    if k_max is None:
+        k_max = n * I.max_degree
+    powers = [None, I]
+    for k in range(2, k_max + 1):
+        powers.append(powers[-1] * I)
+
+    def integral(v: tuple[int, ...]) -> bool:
+        return any(
+            powers[k].contains_monomial(tuple(k * e for e in v))
+            for k in range(1, k_max + 1)
+        )
+
+    found: list[tuple[int, ...]] = []
+    for degree in range(I.order, I.max_degree + n):
+        for vt in monomials_of_degree(n, degree):
+            if any(all(f[i] <= vt[i] for i in range(n)) for f in found):
+                continue
+            if integral(vt):
+                found.append(vt)
+    return MonomialIdeal.of(n, found)
+
+
+def hilbert_function_incl_excl(I: MonomialIdeal, t: int) -> int:
+    """Inclusion-exclusion count of degree-t monomials outside I.
+
+    Exponential in the number of generators, so limited to 20 of them.
+    """
+    if t < 0:
+        raise ValueError("negative degree")
+    n, gens = I.n, I.gens
+    total = comb(t + n - 1, n - 1)
+    inside = 0
+    m = len(gens)
+    if m > 20:
+        raise ValueError("inclusion-exclusion oracle is limited to 20 generators")
+    for mask in range(1, 1 << m):
+        lcm = (0,) * n
+        bits = 0
+        mm = mask
+        while mm:
+            lcm = mono_lcm(lcm, gens[(mm & -mm).bit_length() - 1])
+            bits += 1
+            mm &= mm - 1
+        r = t - mono_deg(lcm)
+        if r >= 0:
+            inside += (-1) ** (bits + 1) * comb(r + n - 1, n - 1)
+    return total - inside

@@ -27,13 +27,13 @@ from gideal.staircases import (
     Staircase,
     closure_seq,
     factor_simple,
-    hull_closure_oracle,
     jdt_seq,
     minplus_product,
 )
 from gideal.textio import parse_document
 from gideal.verify import run_examples
 
+from oracles import closure_seq_minplus
 from samplers import random_class_c, random_gstar, random_monomial
 
 THREE_PRIMES_TEXT = "ring 3 vars x,y,z; ideal I = x^3,y^3,z^3,x*y,y*z,x*z;"
@@ -92,11 +92,11 @@ def test_criterion_3_closure_oracle_equivalence():
         for d in range(1, 6):
             for tail in itertools.combinations(range(1, 13), d):
                 a = Staircase((0,) + tail)
-                assert closure_seq(a) == hull_closure_oracle(a), a
+                assert closure_seq(a) == closure_seq_minplus(a), a
                 count += 1
         assert count == 1585
 
-    _report(3, "sequence closure matches hull oracle on 1585 staircases", body)
+    _report(3, "hull closure matches min-plus oracle on 1585 staircases", body)
 
 
 def test_criterion_4_simple_factorization_roundtrip():

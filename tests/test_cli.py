@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from gideal.cli import main
+from gideal.hilbert import h_polynomial
+from gideal.textio import parse_document
 
 THREE_PRIMES = "ring 3 vars x,y,z; ideal I = x^3,y^3,z^3,x*y,y*z,x*z;\n"
 
@@ -148,6 +150,15 @@ class TestHilbert:
         assert entry["h"] == [7, 4]
         assert entry["e"] == 11
         assert entry["colength"] == 7
+
+    def test_human_output_matches_series_str(self, ideal_file, capsys):
+        text = "ring 2 vars x,y; ideal I = x^2,x*y,y^3;\n"
+        code = main(["hilbert", ideal_file(text)])
+        out = capsys.readouterr().out
+        assert code == 0
+        h = h_polynomial(parse_document(text).ideal("I"))
+        assert str(h) == "4 + z"
+        assert out == f"I: h = {h}, e = 5, colength = 4\n"
 
     def test_terms_budget_too_small(self, ideal_file, capsys):
         code = main(["hilbert", "--terms", "2", ideal_file(THREE_PRIMES)])

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from gideal import AmbientMismatch, CoordinatePrime, MonomialIdeal
 from gideal.ideals import (
     _minimal,
-    hilbert_function_incl_excl,
     localize_power,
     mono_divides,
     monomials_of_degree,
     reg_dim1_saturated,
 )
 
+from oracles import hilbert_function_incl_excl
 from samplers import random_finite_ideal, random_small_ideal
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from gideal import MonomialIdeal, is_integrally_closed, newton_closure
 from gideal.lp import max_convex_cover
-from gideal.newton import NewtonMembership, closure_by_powers
+from gideal.newton import NewtonMembership
 
+from oracles import closure_by_powers
 from samplers import random_finite_ideal, random_small_ideal
 
 

@@ -1,6 +1,8 @@
 """Staircase sequence calculus: min-plus products, integral closure via
-the lower convex hull, and the primitive-edge simple factorization."""
+the lower convex hull (checked against the min-plus oracle), and the
+primitive-edge simple factorization."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,7 +17,9 @@ from gideal import (
     minplus_product,
     recognize_simple,
 )
-from gideal.staircases import SimpleFactorization, hull_closure_oracle
+from gideal.staircases import SimpleFactorization
+
+from oracles import closure_seq_minplus
 
 
 def S(*steps):
@@ -82,11 +86,38 @@ class TestClosure:
     def test_trivial(self):
         assert closure_seq(S(0)) == S(0)
 
-    def test_matches_hull_oracle_exhaustively(self):
+    def test_matches_minplus_oracle_exhaustively(self):
         for d in range(1, 5):
             for steps in combinations(range(1, 10), d):
                 a = Staircase((0,) + steps)
-                assert closure_seq(a) == hull_closure_oracle(a), a
+                assert closure_seq(a) == closure_seq_minplus(a), a
+
+    def test_matches_minplus_oracle_on_long_random(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            d = rng.randint(6, 30)
+            a = Staircase((0,) + tuple(sorted(rng.sample(range(1, 201), d))))
+            c = closure_seq(a)
+            assert c == closure_seq_minplus(a), a
+            assert closure_seq(c) == c
+            assert all(c[i] <= a[i] for i in range(a.d + 1))
+
+    def test_long_closure_makes_no_minplus_product(self, monkeypatch):
+        def forbidden(a, b):
+            raise AssertionError("closure_seq called minplus_product")
+
+        monkeypatch.setattr("gideal.staircases.minplus_product", forbidden)
+        k = 1429  # d = 7k >= 10**4
+        closed = jdt_seq(7 * k, 10 * k)
+        steps = list(closed.steps)
+        # points off the multiples of 7 lie above the line, so no hull vertex
+        # moves
+        for i in range(len(steps) - 2, 0, -1):
+            if i % 7 and steps[i] + 1 < steps[i + 1]:
+                steps[i] += 1
+        lifted = Staircase(tuple(steps))
+        assert lifted != closed
+        assert closure_seq(lifted) == closed
 
     def test_idempotent_and_dominated(self):
         for steps in combinations(range(1, 11), 3):
