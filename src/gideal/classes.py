@@ -12,7 +12,8 @@ coordinate prime each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as cartesian
+from functools import cached_property
+from itertools import count, product as cartesian
 from math import comb
 
 from .ideals import (
@@ -67,6 +68,11 @@ class QFamily:
             return self.members[j]
         return MonomialIdeal.unit(self.n)
 
+    @cached_property
+    def d0(self) -> int:
+        """Regularity of the first member; 0 for the all-unit family."""
+        return reg_dim1_saturated(self.members[0])[0] if self.s else 0
+
     @classmethod
     def of(cls, n: int, members) -> "QFamily":
         members = tuple(members)
@@ -75,13 +81,16 @@ class QFamily:
                 raise FamilyError(j, f"member {j} is not a proper nonzero ideal")
             if m.saturate() != m:
                 raise FamilyError(j, f"member {j} is not saturated")
-            if m.dimension() != 1:
-                raise FamilyError(
-                    j, f"member {j} has dimension {m.dimension()} (expected 1)"
-                )
-            if j and not members[j - 1] <= m:
-                raise FamilyError(j, f"member {j} does not contain member {j - 1}")
+            _check_member(j, m, members[j - 1] if j else None)
         return cls(n, members)
+
+
+def _check_member(j: int, m: MonomialIdeal, prev: MonomialIdeal | None) -> None:
+    """Member j must be one-dimensional and contain member j - 1."""
+    if m.dimension() != 1:
+        raise FamilyError(j, f"member {j} has dimension {m.dimension()} (expected 1)")
+    if prev is not None and not prev <= m:
+        raise FamilyError(j, f"member {j} does not contain member {j - 1}")
 
 
 def q_family(I: MonomialIdeal) -> QFamily:
@@ -94,20 +103,12 @@ def q_family(I: MonomialIdeal) -> QFamily:
         raise ValueError("ideal does not have finite colength")
     d = I.order
     members = []
-    j = 0
-    while True:
+    for j in count():
         Q = I.component(d + j).saturate()
         if Q.is_unit():
-            break
-        if Q.dimension() != 1:
-            raise FamilyError(
-                j, f"member {j} has dimension {Q.dimension()} (expected 1)"
-            )
-        if members and not members[-1] <= Q:
-            raise FamilyError(j, f"member {j} does not contain member {j - 1}")
+            return QFamily(I.n, tuple(members))
+        _check_member(j, Q, members[-1] if members else None)
         members.append(Q)
-        j += 1
-    return QFamily(I.n, tuple(members))
 
 
 def ideal_of_family(fam: QFamily, k: int) -> MonomialIdeal:
@@ -118,10 +119,9 @@ def ideal_of_family(fam: QFamily, k: int) -> MonomialIdeal:
     """
     if k < 0:
         raise ValueError("negative offset")
-    d0 = reg_dim1_saturated(fam.members[0])[0] if fam.s else 0
     out = MonomialIdeal.zero(fam.n)
     for j in range(fam.s + 1):
-        out = out + fam.q(j).component(d0 + k + j)
+        out = out + fam.q(j).component(fam.d0 + k + j)
     return out
 
 
@@ -156,23 +156,26 @@ def is_contracted(I: MonomialIdeal) -> bool:
 # -- class membership -------------------------------------------------------
 
 
-def is_in_C(I: MonomialIdeal) -> Membership:
-    """Roundtrip test: I belongs to C when its family reconstructs it."""
+def _family_in_C(I: MonomialIdeal) -> tuple[QFamily | None, str]:
+    """(family of I, "") when its family reconstructs I, else (None, reason)."""
     if I.colength() is None:
-        return Membership(False, "colength is infinite")
+        return None, "colength is infinite"
     try:
         fam = q_family(I)
     except FamilyError as err:
-        return Membership(False, str(err))
+        return None, str(err)
     d = I.order
-    d0 = reg_dim1_saturated(fam.members[0])[0] if fam.s else 0
-    if d < d0:
-        return Membership(
-            False, f"order {d} is below the characteristic regularity {d0}"
-        )
-    if ideal_of_family(fam, d - d0) != I:
-        return Membership(False, "family reconstruction differs from the ideal")
-    return Membership(True)
+    if d < fam.d0:
+        return None, f"order {d} is below the characteristic regularity {fam.d0}"
+    if ideal_of_family(fam, d - fam.d0) != I:
+        return None, "family reconstruction differs from the ideal"
+    return fam, ""
+
+
+def is_in_C(I: MonomialIdeal) -> Membership:
+    """Roundtrip test: I belongs to C when its family reconstructs it."""
+    fam, reason = _family_in_C(I)
+    return Membership(fam is not None, reason)
 
 
 def is_in_D(I: MonomialIdeal) -> Membership:
@@ -235,10 +238,9 @@ def factor_C(I: MonomialIdeal) -> CFactorization:
     the balance exponents make the product identity exact, and the
     defining property of the localized families is re-verified.
     """
-    mem = is_in_C(I)
-    if not mem:
-        raise ValueError(f"not in C: {mem.reason}")
-    fam = q_family(I)
+    fam, reason = _family_in_C(I)
+    if fam is None:
+        raise ValueError(f"not in C: {reason}")
     d = I.order
     n = I.n
     if fam.s == 0:
@@ -398,10 +400,9 @@ def goto_form(I: MonomialIdeal) -> tuple[GForm | None, str]:
     Every family member must be the intersection of powers of the minimal
     primes of the first member.
     """
-    mem = is_in_C(I)
-    if not mem:
-        raise ValueError(f"not in C: {mem.reason}")
-    fam = q_family(I)
+    fam, reason = _family_in_C(I)
+    if fam is None:
+        raise ValueError(f"not in C: {reason}")
     n = I.n
     if fam.s == 0:
         return GForm.of(I.order, {}), ""
@@ -472,12 +473,11 @@ def gform_to_monomial(form: GForm, n: int, assignment=None) -> MonomialIdeal:
                 Q = Q & CoordinatePrime(w).power(n, a)
         members.append(Q)
     fam = QFamily.of(n, members)
-    d0 = reg_dim1_saturated(fam.members[0])[0] if fam.s else 0
-    if form.order < d0:
+    if form.order < fam.d0:
         raise ValueError(
-            f"order {form.order} is below the regularity {d0} of the first member"
+            f"order {form.order} is below the regularity {fam.d0} of the first member"
         )
-    return ideal_of_family(fam, form.order - d0)
+    return ideal_of_family(fam, form.order - fam.d0)
 
 
 def gform_product(a: GForm, b: GForm) -> GForm:
@@ -510,8 +510,6 @@ class GSimpleFactorization:
 
 def gform_simple_factorization(form: GForm) -> GSimpleFactorization:
     """Unique simple factorization of an integrally closed GForm."""
-    if gform_closure(form) != form:
-        raise ValueError("GForm is not integrally closed")
     factors = []
     unit_power = 0
     total_d = 0

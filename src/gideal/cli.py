@@ -3,8 +3,8 @@ hilbert, verify-examples.
 
 One JSON-serializable report per run; the human rendering is a thin view
 of the same data.  Exit codes: 0 success, 1 mathematical failure, 2
-usage or parse error.  GIDEAL_BUDGET (overridden by --terms) bounds the
-power filtration used by Hilbert computations.
+usage or parse error.  For hilbert and verify-examples, GIDEAL_BUDGET
+(overridden by --terms) bounds the power filtration.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .classes import (
     factor_C,
@@ -34,7 +35,7 @@ def _gens(I: MonomialIdeal, names) -> list[str]:
     return [format_monomial(g, names) for g in I.gens]
 
 
-def _classify_ideal(I: MonomialIdeal, names, budget: int) -> dict:
+def _classify_ideal(I: MonomialIdeal) -> dict:
     reasons = {}
     contracted = is_contracted(I)
     if not contracted:
@@ -61,7 +62,7 @@ def _classify_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     }
 
 
-def _factor_ideal(I: MonomialIdeal, names, budget: int) -> dict:
+def _factor_ideal(I: MonomialIdeal, names) -> dict:
     fac = factor_C(I)
     return {
         "factors": [_gens(f, names) for f in fac.factors],
@@ -69,7 +70,7 @@ def _factor_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     }
 
 
-def _close_ideal(I: MonomialIdeal, names, budget: int) -> dict:
+def _close_ideal(I: MonomialIdeal, names) -> dict:
     closed = newton_closure(I)
     return {
         "generators": _gens(closed, names),
@@ -77,7 +78,7 @@ def _close_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     }
 
 
-def _simple_factor_ideal(I: MonomialIdeal, names, budget: int) -> dict:
+def _simple_factor_ideal(I: MonomialIdeal, names) -> dict:
     form, reason = goto_form(I)
     if form is None:
         raise ValueError(f"not in G: {reason}")
@@ -93,7 +94,7 @@ def _simple_factor_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     }
 
 
-def _hilbert_ideal(I: MonomialIdeal, names, budget: int) -> dict:
+def _hilbert_ideal(I: MonomialIdeal, budget: int) -> dict:
     h = h_polynomial(I, budget)
     return {
         "h": list(h.coeffs),
@@ -102,13 +103,15 @@ def _hilbert_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     }
 
 
-_IDEAL_COMMANDS = {
-    "classify": _classify_ideal,
-    "factor": _factor_ideal,
-    "close": _close_ideal,
-    "simple-factor": _simple_factor_ideal,
-    "hilbert": _hilbert_ideal,
-}
+def _ideal_handler(command: str, names, budget: int | None):
+    """The per-ideal handler of a command, bound to what it reads."""
+    return {
+        "classify": _classify_ideal,
+        "factor": partial(_factor_ideal, names=names),
+        "close": partial(_close_ideal, names=names),
+        "simple-factor": partial(_simple_factor_ideal, names=names),
+        "hilbert": partial(_hilbert_ideal, budget=budget),
+    }[command]
 
 
 def _render_classify(name: str, rep: dict) -> list[str]:
@@ -180,17 +183,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify, factor and close monomial ideals of finite colength.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, needs_file in (
-        ("classify", True),
-        ("factor", True),
-        ("close", True),
-        ("simple-factor", True),
-        ("hilbert", True),
-        ("verify-examples", False),
+    for cmd, needs_file, uses_budget in (
+        ("classify", True, False),
+        ("factor", True, False),
+        ("close", True, False),
+        ("simple-factor", True, False),
+        ("hilbert", True, True),
+        ("verify-examples", False, True),
     ):
         p = sub.add_parser(cmd)
-        p.add_argument("--terms", type=int, default=None,
-                       help="power-filtration term budget")
+        if uses_budget:
+            p.add_argument("--terms", type=int, default=None,
+                           help="power-filtration term budget")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the JSON report instead of text")
         if needs_file:
@@ -205,15 +209,15 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _run_on_document(command: str, doc: IdealDocument, budget: int,
+def _run_on_document(command: str, doc: IdealDocument, budget: int | None,
                      as_json: bool) -> int:
-    handler = _IDEAL_COMMANDS[command]
+    handler = _ideal_handler(command, doc.names, budget)
     renderer = _RENDERERS[command]
     per_ideal = {}
     lines = []
     for name, ideal in doc.ideals:
         try:
-            rep = handler(ideal, doc.names, budget)
+            rep = handler(ideal)
         except _MATH_ERRORS as err:
             print(f"gideal {command}: {name}: {err}", file=sys.stderr)
             return 1
@@ -250,11 +254,13 @@ def _run_examples(budget: int, as_json: bool) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        budget = _resolve_budget(args.terms)
-    except ValueError as err:
-        print(f"gideal: {err}", file=sys.stderr)
-        return 2
+    budget = None
+    if "terms" in args:
+        try:
+            budget = _resolve_budget(args.terms)
+        except ValueError as err:
+            print(f"gideal: {err}", file=sys.stderr)
+            return 2
     if args.command == "verify-examples":
         return _run_examples(budget, args.as_json)
     try:

@@ -4,11 +4,17 @@ HF(k) = colength(I^(k+1)) - colength(I^k) for an ideal of finite colength.
 The generating series sums to h(z)/(1-z)^n with h a polynomial; h is found
 by n-th finite differences of HF, declared stable after a window of n+2
 consecutive zeros.  The term budget caps how far the filtration is pushed.
+
+The series of a power M^c of the maximal ideal needs no ideal arithmetic:
+colength(M^m) = C(m+n-1, n), so HF is a polynomial in k of degree n-1 for
+every k >= 0; h then has degree below n, and the window of n+2 zeros closes
+by k = 2n+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
 
 from .classes import factor_C, is_in_C
@@ -62,46 +68,25 @@ def _require_filterable(I: MonomialIdeal) -> None:
         raise ValueError("ideal does not have finite colength")
 
 
-def hf_filtration(I: MonomialIdeal, count: int) -> list[int]:
-    """First `count` values of k -> colength(I^(k+1)) - colength(I^k)."""
-    _require_filterable(I)
-    if count < 0:
-        raise ValueError("negative count")
-    out = []
-    power = MonomialIdeal.unit(I.n)
-    prev = 0
-    for _ in range(count):
+def _power_colengths(I: MonomialIdeal):
+    """colength(I^k) for k = 1, 2, ...; each power is built when asked for."""
+    power = I
+    while True:
+        yield power.colength()
         power = power * I
-        cur = power.colength()
-        out.append(cur - prev)
-        prev = cur
-    return out
 
 
-def h_polynomial(
-    I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET
-) -> HilbertSeries:
-    """h-coefficients via n-th differences of HF, budget-bounded.
+def _h_of_colengths(n: int, colengths, budget: int) -> HilbertSeries:
+    """h-coefficients from the colengths of the first filtration terms.
 
     h_j = sum_i (-1)^i C(n,i) HF(j-i); the sequence is accepted once n+2
-    consecutive values vanish after a nonzero one.
+    consecutive values vanish after a nonzero one.  At most budget + 1
+    colengths are drawn, and the budget is checked before each draw.
     """
-    _require_filterable(I)
-    n = I.n
     hf: list[int] = []
-    power = MonomialIdeal.unit(n)
-    prev = 0
     coeffs: list[int] = []
-    zeros = 0
-    j = 0
-    while True:
-        if j > budget:
-            raise BudgetError(
-                f"h-polynomial did not stabilize within {budget} filtration "
-                "terms; raise the term budget"
-            )
-        power = power * I
-        cur = power.colength()
+    prev = zeros = 0
+    for j, cur in zip(range(budget + 1), colengths):
         hf.append(cur - prev)
         prev = cur
         hj = sum(
@@ -110,17 +95,37 @@ def h_polynomial(
         coeffs.append(hj)
         zeros = zeros + 1 if hj == 0 else 0
         if zeros >= n + 2 and any(coeffs):
-            break
-        j += 1
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return HilbertSeries(n, tuple(coeffs))
+            while coeffs[-1] == 0:
+                coeffs.pop()
+            return HilbertSeries(n, tuple(coeffs))
+    raise BudgetError(
+        f"h-polynomial did not stabilize within {budget} filtration "
+        "terms; raise the term budget"
+    )
 
 
-def _series_of_max_power(n: int, c: int, budget: int) -> HilbertSeries:
+def hf_filtration(I: MonomialIdeal, count: int) -> list[int]:
+    """First `count` values of k -> colength(I^(k+1)) - colength(I^k)."""
+    _require_filterable(I)
+    if count < 0:
+        raise ValueError("negative count")
+    colengths = list(islice(_power_colengths(I), count))
+    return [cur - prev for prev, cur in zip([0] + colengths, colengths)]
+
+
+def h_polynomial(
+    I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET
+) -> HilbertSeries:
+    """h-coefficients of the power filtration of I, budget-bounded."""
+    _require_filterable(I)
+    return _h_of_colengths(I.n, _power_colengths(I), budget)
+
+
+def _series_of_max_power(n: int, c: int) -> HilbertSeries:
+    """h of M^c from colength(M^(ck)) = C(ck+n-1, n); no power is built."""
     if c == 0:
         raise ValueError("zero-th power of the maximal ideal is not proper")
-    h = h_polynomial(MonomialIdeal.max_power(n, c), budget)
+    h = _h_of_colengths(n, (comb(c * k + n - 1, n) for k in count(1)), 2 * n + 1)
     if h.e != c**n:
         raise RuntimeError(f"multiplicity self-test failed for M^{c}")
     return h
@@ -141,10 +146,10 @@ def hs_via_factorization(
         for k, c in enumerate(coeffs):
             acc[k] += sign * c
 
-    add(_series_of_max_power(n, d, budget).coeffs, 1)
+    add(_series_of_max_power(n, d).coeffs, 1)
     for L in fac.factors:
         add(h_polynomial(L, budget).coeffs, 1)
-        add(_series_of_max_power(n, L.order, budget).coeffs, -1)
+        add(_series_of_max_power(n, L.order).coeffs, -1)
     while acc and acc[-1] == 0:
         acc.pop()
     return HilbertSeries(n, tuple(acc))
@@ -155,11 +160,7 @@ def multiplicity_e(I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET) -> int:
     e = sum e(L_j) + d^n - sum d_j^n whenever I lies in C."""
     e = h_polynomial(I, budget).e
     if is_in_C(I):
-        fac = factor_C(I)
-        d = I.order
-        alt = d**I.n
-        for L in fac.factors:
-            alt += h_polynomial(L, budget).e - L.order**I.n
+        alt = hs_via_factorization(I, budget).e
         if alt != e:
             raise RuntimeError(
                 f"multiplicity mismatch: direct {e}, factored {alt}"

@@ -266,10 +266,6 @@ class MonomialIdeal:
             raise ValueError("negative degree")
         return _outside_at_degree(self.gens, self.n, t)
 
-    def basic_stats(self) -> tuple[int | None, int, int | None]:
-        """(order, number of minimal generators, colength-or-None)."""
-        return (self.order, self.mu, self.colength())
-
     # -- primes ----------------------------------------------------------
 
     def minimal_primes(self) -> tuple[frozenset[int], ...]:

@@ -34,21 +34,14 @@ def max_convex_cover(
         row += [Fraction(1 if k == i else 0) for k in range(n)]
         row.append(Fraction(rhs[i]))
         tab.append(row)
-    cost = [Fraction(1)] * m + [Fraction(0)] * n
+    # objective row z - sum(lam) = 0, pivoted with the others: its entries
+    # are the negated reduced costs, and under the slacks it holds y
+    tab.append([Fraction(-1)] * m + [Fraction(0)] * (n + 1))
     basis = list(range(m, m + n))
 
     while True:
-        # reduced costs r_j = c_j - c_B . tab[:, j]
-        entering = -1
-        for j in range(m + n):
-            r = cost[j]
-            for i in range(n):
-                cb = cost[basis[i]]
-                if cb:
-                    r -= cb * tab[i][j]
-            if r > 0:
-                entering = j
-                break  # Bland: first improving column
+        # Bland: the first improving column enters
+        entering = next((j for j in range(m + n) if tab[n][j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
@@ -65,26 +58,11 @@ def max_convex_cover(
         if leaving < 0:
             raise ArithmeticError("unbounded program")
         piv = tab[leaving][entering]
-        tab[leaving] = [v / piv for v in tab[leaving]]
-        for i in range(n):
-            if i != leaving and tab[i][entering]:
-                f = tab[i][entering]
-                row = tab[i]
-                prow = tab[leaving]
-                tab[i] = [row[k] - f * prow[k] for k in range(width)]
+        prow = tab[leaving] = [v / piv for v in tab[leaving]]
+        for i in range(n + 1):
+            f = tab[i][entering]
+            if i != leaving and f:
+                tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
         basis[leaving] = entering
 
-    opt = Fraction(0)
-    for i in range(n):
-        cb = cost[basis[i]]
-        if cb:
-            opt += cb * tab[i][width - 1]
-    dual = []
-    for k in range(n):
-        r = Fraction(0)
-        for i in range(n):
-            cb = cost[basis[i]]
-            if cb:
-                r += cb * tab[i][m + k]
-        dual.append(r)
-    return opt, tuple(dual)
+    return tab[n][width - 1], tuple(tab[n][m:m + n])

@@ -26,10 +26,6 @@ class Staircase:
             raise ValueError("staircase must be strictly increasing")
 
     @classmethod
-    def of(cls, values) -> "Staircase":
-        return cls(tuple(int(v) for v in values))
-
-    @classmethod
     def m_power(cls, c: int) -> "Staircase":
         """The staircase of M^c: unit steps 0, 1, ..., c."""
         return cls(tuple(range(c + 1)))

@@ -143,13 +143,15 @@ class _Parser:
             tok = self.expect_ident("a variable")
             if tok.value not in index:
                 self.fail(tok, f"unknown variable {tok.value}")
-            e = 1
+            e, etok = 1, tok
             if self.peek().kind == "punct" and self.peek().value == "^":
                 self.take()
                 e, etok = self.expect_int("an exponent")
-                if e >= EXPONENT_LIMIT:
-                    self.fail(etok, f"exponent {e} is too large")
-            exps[index[tok.value]] += e
+            # repeated factors add up, so the limit applies to the running sum
+            i = index[tok.value]
+            exps[i] += e
+            if exps[i] >= EXPONENT_LIMIT:
+                self.fail(etok, f"exponent {exps[i]} is too large")
             if self.peek().kind == "punct" and self.peek().value == "*":
                 self.take()
                 continue

@@ -10,6 +10,7 @@ are not integrally closed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .classes import factor_C, is_contracted, is_in_C, is_in_D, mu_class_check, q_family
 from .hilbert import DEFAULT_TERM_BUDGET, h_polynomial, hs_via_factorization
@@ -30,24 +31,24 @@ def _ensure(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_pair_of_squares(budget: int) -> None:
+def _check_pair_of_squares() -> None:
     I = MonomialIdeal.of(3, [(2, 0, 0), (0, 2, 0)])
     _ensure(is_contracted(I), "two pure squares should be contracted")
 
 
-def _check_mixed_cubes(budget: int) -> None:
+def _check_mixed_cubes() -> None:
     I = MonomialIdeal.of(3, [(3, 0, 0), (0, 3, 0), (2, 0, 1)])
     I = I + MonomialIdeal.max_power(3, 4)
     _ensure(not is_contracted(I), "cubes-plus-fourth-powers should not be contracted")
 
 
-def _check_contracted_square_escapes(budget: int) -> None:
+def _check_contracted_square_escapes() -> None:
     I = MonomialIdeal.of(3, [(2, 0, 0), (1, 2, 0), (0, 2, 2)])
     _ensure(is_contracted(I), "the base ideal should be contracted")
     _ensure(not is_contracted(I * I), "its square should not be contracted")
 
 
-def _check_closed_full_mu_outside_class(budget: int) -> None:
+def _check_closed_full_mu_outside_class() -> None:
     I = MonomialIdeal.of(3, [(2, 0, 0), (0, 1, 1)]) + MonomialIdeal.max_power(3, 3)
     _ensure(is_integrally_closed(I), "should be integrally closed")
     _ensure(is_contracted(I), "should be contracted")
@@ -82,7 +83,7 @@ def _check_three_primes_pipeline(budget: int) -> None:
     _ensure(hs_via_factorization(I, budget) == h, "factored h-polynomial should agree")
 
 
-def _check_product_of_closed_escapes(budget: int) -> None:
+def _check_product_of_closed_escapes() -> None:
     P3 = MonomialIdeal.of(3, [(1, 0, 0), (0, 1, 0)]) ** 3
     M4 = MonomialIdeal.max_power(3, 4)
     A = P3 + MonomialIdeal.of(3, [(2, 0, 1)]) + M4
@@ -96,7 +97,7 @@ def _check_product_of_closed_escapes(budget: int) -> None:
     )
 
 
-def _check_square_of_closed_escapes(budget: int) -> None:
+def _check_square_of_closed_escapes() -> None:
     core = MonomialIdeal.of(
         4,
         [
@@ -119,27 +120,29 @@ def _check_square_of_closed_escapes(budget: int) -> None:
     )
 
 
-_CHECKS = (
-    ("pair-of-squares-contracted", _check_pair_of_squares),
-    ("mixed-cubes-not-contracted", _check_mixed_cubes),
-    ("contracted-but-square-is-not", _check_contracted_square_escapes),
-    ("closed-full-mu-outside-class", _check_closed_full_mu_outside_class),
-    ("three-primes-pipeline", _check_three_primes_pipeline),
-    ("product-of-closed-not-closed", _check_product_of_closed_escapes),
-    ("square-of-closed-not-closed", _check_square_of_closed_escapes),
-)
+def _checks(budget: int):
+    """(name, no-argument check) pairs; the pipeline check reads the budget."""
+    return (
+        ("pair-of-squares-contracted", _check_pair_of_squares),
+        ("mixed-cubes-not-contracted", _check_mixed_cubes),
+        ("contracted-but-square-is-not", _check_contracted_square_escapes),
+        ("closed-full-mu-outside-class", _check_closed_full_mu_outside_class),
+        ("three-primes-pipeline", partial(_check_three_primes_pipeline, budget)),
+        ("product-of-closed-not-closed", _check_product_of_closed_escapes),
+        ("square-of-closed-not-closed", _check_square_of_closed_escapes),
+    )
 
 
 def example_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _CHECKS)
+    return tuple(name for name, _ in _checks(DEFAULT_TERM_BUDGET))
 
 
 def run_examples(budget: int = DEFAULT_TERM_BUDGET) -> list[ExampleResult]:
     """Run every built-in example; failures carry the failing condition."""
     results = []
-    for name, check in _CHECKS:
+    for name, check in _checks(budget):
         try:
-            check(budget)
+            check()
         except Exception as err:  # noqa: BLE001 - report, do not crash
             results.append(ExampleResult(name, False, str(err)))
         else:

@@ -196,6 +196,18 @@ class TestFactorC:
                 assert len(q_family(f).members[0].minimal_primes()) == 1
             assert equiv(I, right) or fac.balance[0] == 0
 
+    @pytest.mark.parametrize("fn", [factor_C, goto_form])
+    def test_builds_the_family_once(self, fn, monkeypatch):
+        calls = []
+
+        def counting(I):
+            calls.append(I)
+            return q_family(I)
+
+        monkeypatch.setattr("gideal.classes.q_family", counting)
+        fn(THREE_PRIMES)
+        assert calls == [THREE_PRIMES]
+
 
 class TestClosureInClass:
     def test_returns_closure(self):

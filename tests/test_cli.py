@@ -184,6 +184,18 @@ class TestHilbert:
         code = main(["hilbert", "--terms", "0", ideal_file(THREE_PRIMES)])
         assert code == 2
 
+    def test_budget_env_ignored_where_unused(self, ideal_file, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("GIDEAL_BUDGET", "zero")
+        code = main(["close", ideal_file(THREE_PRIMES)])
+        assert code == 0
+        assert "already closed" in capsys.readouterr().out
+
+    def test_terms_flag_rejected_where_unused(self, ideal_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["close", "--terms", "3", ideal_file(THREE_PRIMES)])
+        assert exc.value.code == 2
+
 
 class TestErrors:
     def test_parse_error_exit_two(self, ideal_file, capsys):
@@ -196,6 +208,18 @@ class TestErrors:
         code = main(["classify", "/nonexistent/path.txt"])
         assert code == 2
         assert capsys.readouterr().err != ""
+
+    def test_summed_exponent_overflow_exit_two(self, ideal_file):
+        path = ideal_file(
+            "ring 2 vars x,y; ideal I = x^2147483647*x^2147483647, y;\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-m", "gideal", "classify", path],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "too large" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestVerifyExamples:

@@ -19,6 +19,7 @@ from gideal import (
     q_family,
     reg_dim1_saturated,
 )
+from gideal.hilbert import _series_of_max_power
 from samplers import random_class_c, random_gstar
 
 
@@ -99,11 +100,35 @@ class TestHPolynomial:
         with pytest.raises(BudgetError):
             h_polynomial(THREE_PRIMES, budget=3)
 
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_budget_bounds_powers_built(self, budget, monkeypatch):
+        calls = []
+        mul = MonomialIdeal.__mul__
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+        with pytest.raises(BudgetError):
+            h_polynomial(THREE_PRIMES, budget=budget)
+        # powers I, I^2, ..., I^(budget+1): I itself needs no product
+        assert len(calls) <= budget
+
     def test_h0_is_colength(self):
         rng = random.Random(71)
         for _ in range(6):
             I = random_class_c(rng)
             assert h_polynomial(I).coeffs[0] == I.colength()
+
+
+class TestMaxPowerSeries:
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_filtration(self, n, c):
+        assert _series_of_max_power(n, c) == h_polynomial(
+            MonomialIdeal.max_power(n, c)
+        )
 
 
 class TestFactoredAssembly:

@@ -38,6 +38,23 @@ class TestSimplex:
         for col in columns:
             assert sum(y * c for y, c in zip(dual, col)) >= 1
 
+    def test_dual_is_certificate_on_random_programs(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 8)
+            columns = []
+            while len(columns) < m:
+                col = tuple(rng.randint(0, 6) for _ in range(n))
+                if any(col):
+                    columns.append(col)
+            rhs = tuple(rng.randint(0, 12) for _ in range(n))
+            opt, dual = max_convex_cover(columns, rhs)
+            assert len(dual) == n
+            assert all(y >= 0 for y in dual)
+            assert sum(y * r for y, r in zip(dual, rhs)) == opt
+            for col in columns:
+                assert sum(y * c for y, c in zip(dual, col)) >= 1
+
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError):
             max_convex_cover([(0, 0)], (1, 1))

@@ -97,6 +97,14 @@ class TestParseErrors:
             parse_document("ring 2 vars x,y; ideal I = x^99999999999;")
         assert "too large" in str(exc.value)
 
+    def test_repeated_factors_exceeding_limit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_document(
+                "ring 2 vars x,y; ideal I = x^2147483647*x^2147483647, y;"
+            )
+        assert "too large" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (1, 43)
+
 
 class TestFormat:
     def test_format_monomial(self):
