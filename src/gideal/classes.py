@@ -442,26 +442,21 @@ def is_in_G(I: MonomialIdeal) -> GForm | None:
     return goto_form(I)[0]
 
 
-def gform_to_monomial(form: GForm, n: int, assignment=None) -> MonomialIdeal:
+def gform_to_monomial(form: GForm, n: int) -> MonomialIdeal:
     """Realize a GForm in n variables.
 
-    assignment maps prime labels injectively to CoordinatePrime; by default
-    integer labels in range are taken as omitted indices and other labels
-    are assigned in sorted order.
+    Integer labels in range name the omitted variable of their coordinate
+    prime; otherwise each label omits the variable of its sorted position.
     """
     labels = form.labels
     if len(labels) > n:
         raise ValueError(f"{len(labels)} primes cannot be realized in {n} variables")
-    if assignment is None:
-        if all(isinstance(l, int) and 0 <= l < n for l in labels):
-            assignment = {l: CoordinatePrime(l) for l in labels}
-        else:
-            assignment = {
-                l: CoordinatePrime(i) for i, l in enumerate(labels)
-            }
-    omitted = [assignment[l].omitted for l in labels]
-    if len(set(omitted)) != len(omitted) or not all(0 <= w < n for w in omitted):
-        raise ValueError("assignment must map labels to distinct coordinate primes")
+    if len(set(labels)) != len(labels):
+        raise ValueError("prime labels must be distinct")
+    if all(isinstance(l, int) and 0 <= l < n for l in labels):
+        omitted = labels
+    else:
+        omitted = range(len(labels))
     columns = [staircase_alphas(stair) for _, stair in form.components]
     s = max((len(c) for c in columns), default=0)
     members = []

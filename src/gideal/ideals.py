@@ -318,49 +318,52 @@ def _is_pure_power(g: Monomial, i: int) -> bool:
     return all(e == 0 for j, e in enumerate(g) if j != i)
 
 
-# -- staircase counting (recursive slicing on the first variable) ---------
+# -- staircase counting (one sweep over the first exponent) ---------------
+# x_0^e * m lies outside the ideal exactly when m lies outside the slice at e,
+# the ideal generated by the tails of the generators with first exponent <= e.
 
 
-@lru_cache(maxsize=None)
-def _project_slice(gens: tuple[Monomial, ...], bound: int) -> tuple[Monomial, ...]:
-    """Generators with first exponent <= bound, first coordinate dropped."""
-    return _minimal(g[1:] for g in gens if g[0] <= bound)
+def _slices(gens: tuple[Monomial, ...], top: int):
+    """Yield (lo, hi, slice) for each cut lo < top of the first exponent.
+
+    The slice holds on [lo, hi): the previous slice plus the tails at lo.
+    """
+    levels: dict[int, list[Monomial]] = {0: []}
+    for g in gens:
+        if g[0] < top:
+            levels.setdefault(g[0], []).append(g[1:])
+    cuts = sorted(levels)
+    sl = ()
+    for lo, hi in zip(cuts, cuts[1:] + [top]):
+        sl = _minimal(sl + tuple(levels[lo]))
+        yield lo, hi, sl
 
 
 @lru_cache(maxsize=None)
 def _outside_total(gens: tuple[Monomial, ...], n: int) -> int:
-    """Monomials outside the ideal; caller guarantees finiteness."""
+    """Monomials outside a finite-colength ideal, swept to the x_0 pure power."""
     if any(mono_deg(g) == 0 for g in gens):
         return 0
     if n == 1:
         return min(g[0] for g in gens)
-    bound = min(g[0] for g in gens if _is_pure_power(g, 0))
-    cuts = sorted({g[0] for g in gens if g[0] < bound} | {0})
-    total = 0
-    for idx, lo in enumerate(cuts):
-        hi = cuts[idx + 1] if idx + 1 < len(cuts) else bound
-        total += (hi - lo) * _outside_total(_project_slice(gens, lo), n - 1)
-    return total
+    slices = _slices(gens, min(g[0] for g in gens if _is_pure_power(g, 0)))
+    return sum((hi - lo) * _outside_total(sl, n - 1) for lo, hi, sl in slices)
 
 
 @lru_cache(maxsize=None)
 def _outside_at_degree(gens: tuple[Monomial, ...], n: int, t: int) -> int:
+    """Degree-t monomials outside the ideal, swept to x_0^t."""
     if any(mono_deg(g) == 0 for g in gens):
         return 0
     if not gens:
         return comb(t + n - 1, n - 1)
     if n == 1:
         return 1 if t < min(g[0] for g in gens) else 0
-    cuts = sorted({g[0] for g in gens} | {0})
-    total = 0
-    for idx, lo in enumerate(cuts):
-        hi = cuts[idx + 1] if idx + 1 < len(cuts) else t + 1
-        if lo > t:
-            break
-        sl = _project_slice(gens, lo)
-        for e in range(lo, min(hi, t + 1)):
-            total += _outside_at_degree(sl, n - 1, t - e)
-    return total
+    return sum(
+        _outside_at_degree(sl, n - 1, t - e)
+        for lo, hi, sl in _slices(gens, t + 1)
+        for e in range(lo, hi)
+    )
 
 
 # -- localization and regularity ------------------------------------------

@@ -11,7 +11,6 @@ direction.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -51,7 +50,6 @@ class NewtonMembership:
         return False
 
 
-@lru_cache(maxsize=None)
 def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
     """The integral closure of a nonzero monomial ideal.
 

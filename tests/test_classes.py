@@ -313,6 +313,13 @@ class TestGotoForms:
         with pytest.raises(ValueError):
             gform_to_monomial(form, 3)
 
+    def test_repeated_labels_rejected(self):
+        stair = Staircase((0, 2))
+        for label in (0, "p"):
+            form = GForm(1, ((label, stair), (label, stair)))
+            with pytest.raises(ValueError):
+                gform_to_monomial(form, 3)
+
     def test_order_below_regularity_rejected(self):
         form = GForm(0, ((0, Staircase((0, 2))),))
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gideal import AmbientMismatch, CoordinatePrime, MonomialIdeal
+from gideal import AmbientMismatch, CoordinatePrime, MonomialIdeal, ideals
 from gideal.ideals import (
     _minimal,
     localize_power,
@@ -177,24 +177,42 @@ class TestCounting:
 
     def test_hilbert_function_against_inclusion_exclusion(self):
         rng = random.Random(11)
-        for _ in range(20):
-            I = random_small_ideal(rng, 3)
-            for t in range(7):
-                assert I.hilbert_function(t) == hilbert_function_incl_excl(I, t)
+        for n in (2, 3, 4):
+            for _ in range(20):
+                I = random_small_ideal(rng, n)
+                for t in range(7):
+                    assert I.hilbert_function(t) == hilbert_function_incl_excl(I, t)
 
     def test_colength_against_inclusion_exclusion(self):
         rng = random.Random(13)
-        for _ in range(12):
-            I = random_finite_ideal(rng, 3)
-            total = 0
-            t = 0
-            while True:
-                step = hilbert_function_incl_excl(I, t)
-                if step == 0:
-                    break
-                total += step
-                t += 1
-            assert I.colength() == total
+        for n in (2, 3, 4):
+            for _ in range(12):
+                I = random_finite_ideal(rng, n)
+                total = 0
+                t = 0
+                while True:
+                    step = hilbert_function_incl_excl(I, t)
+                    if step == 0:
+                        break
+                    total += step
+                    t += 1
+                assert I.colength() == total
+
+    def test_colength_minimalizes_each_generator_once_per_level(self, monkeypatch):
+        # every slice of M^d in two variables is one monomial, so a sweep that
+        # grows each slice from the previous one minimalizes about 2d monomials,
+        # where rebuilding each slice from all generators takes d(d+1)/2
+        sizes = []
+
+        def counting(gens):
+            gens = list(gens)
+            sizes.append(len(gens))
+            return _minimal(gens)
+
+        ideals._outside_total.cache_clear()
+        monkeypatch.setattr(ideals, "_minimal", counting)
+        assert MonomialIdeal.max_power(2, 60).colength() == 1830
+        assert sum(sizes) <= 2 * 60
 
     def test_hilbert_function_of_unit_and_zero(self):
         from math import comb
