@@ -241,6 +241,11 @@ def factor_C(I: MonomialIdeal) -> CFactorization:
     fam, reason = _family_in_C(I)
     if fam is None:
         raise ValueError(f"not in C: {reason}")
+    return _factor_family(I, fam)
+
+
+def _factor_family(I: MonomialIdeal, fam: QFamily) -> CFactorization:
+    """`factor_C` of I, given its family from `_family_in_C`."""
     d = I.order
     n = I.n
     if fam.s == 0:
@@ -403,6 +408,11 @@ def goto_form(I: MonomialIdeal) -> tuple[GForm | None, str]:
     fam, reason = _family_in_C(I)
     if fam is None:
         raise ValueError(f"not in C: {reason}")
+    return _form_of_family(I, fam)
+
+
+def _form_of_family(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
+    """`goto_form` of I, given its family from `_family_in_C`."""
     n = I.n
     if fam.s == 0:
         return GForm.of(I.order, {}), ""

@@ -16,11 +16,12 @@ import sys
 from functools import partial
 
 from .classes import (
+    _family_in_C,
+    _form_of_family,
     factor_C,
     gform_simple_factorization,
     goto_form,
     is_contracted,
-    is_in_C,
 )
 from .hilbert import DEFAULT_TERM_BUDGET, format_h, h_polynomial
 from .ideals import MonomialIdeal
@@ -40,22 +41,22 @@ def _classify_ideal(I: MonomialIdeal) -> dict:
     contracted = is_contracted(I)
     if not contracted:
         reasons["contracted"] = "fails the degreewise saturation test"
-    c = is_in_C(I)
-    if c:
+    fam, c_reason = _family_in_C(I)
+    if fam is not None:
         in_d = is_integrally_closed(I)
         if not in_d:
             reasons["in_D"] = "not integrally closed"
-        form, g_reason = goto_form(I)
+        form, g_reason = _form_of_family(I, fam)
         in_g = form is not None
         if not in_g:
             reasons["in_G"] = g_reason
     else:
-        reasons["in_C"] = c.reason
+        reasons["in_C"] = c_reason
         in_d = in_g = False
-        reasons["in_D"] = reasons["in_G"] = f"not in C: {c.reason}"
+        reasons["in_D"] = reasons["in_G"] = f"not in C: {c_reason}"
     return {
         "contracted": contracted,
-        "in_C": bool(c),
+        "in_C": fam is not None,
         "in_D": in_d,
         "in_G": in_g,
         "reasons": reasons,

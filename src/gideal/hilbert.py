@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 
-from .classes import factor_C, is_in_C
+from .classes import CFactorization, _factor_family, _family_in_C, factor_C
 from .ideals import MonomialIdeal
 
 DEFAULT_TERM_BUDGET = 16
@@ -136,7 +136,12 @@ def hs_via_factorization(
 ) -> HilbertSeries:
     """h of a member of C from its factorization:
     h(I) = sum h(L_j) + h(M^d) - sum h(M^(d_j))."""
-    fac = factor_C(I)
+    return _series_of_factorization(I, factor_C(I), budget)
+
+
+def _series_of_factorization(
+    I: MonomialIdeal, fac: CFactorization, budget: int
+) -> HilbertSeries:
     n, d = I.n, I.order
     acc: list[int] = []
 
@@ -159,8 +164,9 @@ def multiplicity_e(I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Multiplicity h(1), cross-checked against the factored formula
     e = sum e(L_j) + d^n - sum d_j^n whenever I lies in C."""
     e = h_polynomial(I, budget).e
-    if is_in_C(I):
-        alt = hs_via_factorization(I, budget).e
+    fam, _ = _family_in_C(I)
+    if fam is not None:
+        alt = _series_of_factorization(I, _factor_family(I, fam), budget).e
         if alt != e:
             raise RuntimeError(
                 f"multiplicity mismatch: direct {e}, factored {alt}"

@@ -1,9 +1,13 @@
-"""Small dense simplex over exact rationals.
+"""Small dense simplex in exact integers.
 
-Solves max sum(lam) subject to sum_j lam_j * col_j <= rhs, lam >= 0, with
-Fraction arithmetic throughout.  The all-slack basis is feasible because the
-right-hand side is non-negative, so no phase-1 is needed; Bland's rule
-guarantees termination.
+Solves max sum(lam) subject to sum_j lam_j * col_j <= rhs, lam >= 0.  The
+all-slack basis is feasible because the right-hand side is non-negative,
+so no phase-1 is needed; Bland's rule guarantees termination.
+
+The tableau is kept fraction-free (Bareiss pivoting): every entry is an
+integer over one shared positive denominator, the last pivot, which is
+the determinant of the current basis.  Every update divides exactly, by
+Cramer's rule, so no rational is formed until the result is returned.
 """
 
 from __future__ import annotations
@@ -13,13 +17,18 @@ from fractions import Fraction
 
 def max_convex_cover(
     columns: list[tuple[int, ...]], rhs: tuple[int, ...]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Return (optimum, dual vector y).
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+    """Return (optimum, dual vector y, basis rows R).
 
     At the optimum y >= 0, y.rhs == optimum, and y.col >= 1 for every
     column, so when the optimum is below 1 the dual vector is an exact
     separating certificate: no convex combination of the columns is
     dominated by rhs.
+
+    R is det(B) * B^-1 for the optimal basis B, with det(B) > 0.  The
+    reduced costs do not depend on the right-hand side, so for any other
+    right-hand side v with R.v >= 0 the same basis is optimal and the
+    optimum is exactly y.v.
     """
     m = len(columns)
     n = len(rhs)
@@ -27,42 +36,52 @@ def max_convex_cover(
         raise ValueError("need at least one column")
     if any(sum(c) == 0 for c in columns):
         raise ValueError("zero column makes the program unbounded")
-    width = m + n + 1
+    last = m + n
     tab = []
     for i in range(n):
-        row = [Fraction(columns[j][i]) for j in range(m)]
-        row += [Fraction(1 if k == i else 0) for k in range(n)]
-        row.append(Fraction(rhs[i]))
+        row = [columns[j][i] for j in range(m)]
+        row += [1 if k == i else 0 for k in range(n)]
+        row.append(rhs[i])
         tab.append(row)
     # objective row z - sum(lam) = 0, pivoted with the others: its entries
     # are the negated reduced costs, and under the slacks it holds y
-    tab.append([Fraction(-1)] * m + [Fraction(0)] * (n + 1))
+    tab.append([-1] * m + [0] * (n + 1))
     basis = list(range(m, m + n))
+    den = 1
 
     while True:
         # Bland: the first improving column enters
         entering = next((j for j in range(m + n) if tab[n][j] < 0), -1)
         if entering < 0:
             break
+        # the least ratio of the last column to a positive entry, compared
+        # cross-multiplied; ties go to the least basic index
         leaving = -1
-        best = None
         for i in range(n):
             a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][width - 1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            here = tab[i][last] * tab[leaving][entering]
+            best = tab[leaving][last] * a
+            if here < best or (here == best and basis[i] < basis[leaving]):
+                leaving = i
         if leaving < 0:
             raise ArithmeticError("unbounded program")
-        piv = tab[leaving][entering]
-        prow = tab[leaving] = [v / piv for v in tab[leaving]]
+        prow = tab[leaving]
+        piv = prow[entering]
         for i in range(n + 1):
             f = tab[i][entering]
-            if i != leaving and f:
-                tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
+            if i != leaving:
+                tab[i] = [(piv * v - f * p) // den for v, p in zip(tab[i], prow)]
+        den = piv
         basis[leaving] = entering
 
-    return tab[n][width - 1], tuple(tab[n][m:m + n])
+    obj = tab[n]
+    return (
+        Fraction(obj[last], den),
+        tuple(Fraction(y, den) for y in obj[m:last]),
+        tuple(tuple(row[m:last]) for row in tab[:n]),
+    )

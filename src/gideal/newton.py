@@ -2,10 +2,14 @@
 
 A monomial x^v lies in the integral closure of I exactly when v is
 componentwise above a convex combination of the exponent vectors of I.
-Membership is decided by exact rational linear feasibility; each negative
-answer yields a separating dual certificate that is cached and reused, so
-the polyhedron is probed by a simplex call only once per facet-ish
-direction.
+Membership is decided by an exact integer simplex, and each solve leaves
+certificates that later queries reuse.  A negative answer caches its dual
+as an integer separating hyperplane.  Every solve caches its optimal
+basis: its reduced costs do not depend on the point, so the basis stays
+optimal for every later point in its cone (where it stays feasible),
+and there the cached dual decides membership with no solve.  The simplex
+runs only for points that no cached hyperplane rejects and no cached
+basis covers.
 """
 
 from __future__ import annotations
@@ -25,12 +29,16 @@ class NewtonMembership:
         if ideal.is_zero():
             raise ValueError("the zero ideal has no Newton polyhedron")
         self.ideal = ideal
+        self._unit = ideal.is_unit()
         self.columns = [tuple(g) for g in ideal.gens]
         # integer separators (w, c): w.v < c implies v is outside
         self._seps: list[tuple[tuple[int, ...], int]] = []
+        # optimal bases (R, w, c) of earlier solves: for v with R.v >= 0 the
+        # basis is still optimal, so v is inside exactly when w.v >= c
+        self._bases: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]] = []
 
     def contains(self, v: tuple[int, ...]) -> bool:
-        if self.ideal.is_unit():
+        if self._unit:
             return True
         # a separator never rejects a point of the polyhedron, so the cheap
         # cached test goes first
@@ -40,13 +48,18 @@ class NewtonMembership:
             return True
         if mono_deg(v) < self.ideal.order:
             return False
-        opt, dual = max_convex_cover(self.columns, tuple(v))
-        if opt >= 1:
-            return True
+        for R, w, c in self._bases:
+            if all(sum(map(mul, r, v)) >= 0 for r in R):
+                return sum(map(mul, w, v)) >= c
+        opt, dual, R = max_convex_cover(self.columns, tuple(v))
         den = 1
         for y in dual:
             den = den * y.denominator // gcd(den, y.denominator)
-        self._seps.append((tuple(int(y * den) for y in dual), den))
+        w = tuple(int(y * den) for y in dual)
+        self._bases.append((R, w, den))
+        if opt >= 1:
+            return True
+        self._seps.append((w, den))
         return False
 
 

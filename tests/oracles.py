@@ -11,10 +11,13 @@ the package imports this module.
 - `hilbert_function_incl_excl`: the Hilbert function by
   inclusion-exclusion over the generators, against the sliced
   `MonomialIdeal.hilbert_function`.
+- `max_convex_cover_fractions`: the simplex over `Fraction` entries,
+  against the fraction-free integer tableau of `lp.max_convex_cover`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 from gideal import MonomialIdeal, Staircase, minplus_product, newton_closure
@@ -96,3 +99,52 @@ def hilbert_function_incl_excl(I: MonomialIdeal, t: int) -> int:
         if r >= 0:
             inside += (-1) ** (bits + 1) * comb(r + n - 1, n - 1)
     return total - inside
+
+
+def max_convex_cover_fractions(
+    columns: list[tuple[int, ...]], rhs: tuple[int, ...]
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(optimum, dual) of max sum(lam) s.t. sum_j lam_j * col_j <= rhs,
+    lam >= 0, by Bland's rule on a tableau of `Fraction` entries."""
+    m = len(columns)
+    n = len(rhs)
+    if m == 0:
+        raise ValueError("need at least one column")
+    if any(sum(c) == 0 for c in columns):
+        raise ValueError("zero column makes the program unbounded")
+    width = m + n + 1
+    tab = []
+    for i in range(n):
+        row = [Fraction(columns[j][i]) for j in range(m)]
+        row += [Fraction(1 if k == i else 0) for k in range(n)]
+        row.append(Fraction(rhs[i]))
+        tab.append(row)
+    tab.append([Fraction(-1)] * m + [Fraction(0)] * (n + 1))
+    basis = list(range(m, m + n))
+
+    while True:
+        entering = next((j for j in range(m + n) if tab[n][j] < 0), -1)
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(n):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = tab[i][width - 1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            raise ArithmeticError("unbounded program")
+        piv = tab[leaving][entering]
+        prow = tab[leaving] = [v / piv for v in tab[leaving]]
+        for i in range(n + 1):
+            f = tab[i][entering]
+            if i != leaving and f:
+                tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
+        basis[leaving] = entering
+
+    return tab[n][width - 1], tuple(tab[n][m:m + n])

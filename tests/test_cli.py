@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gideal.classes import q_family
 from gideal.cli import main
 from gideal.hilbert import h_polynomial
 from gideal.textio import parse_document
@@ -41,6 +42,18 @@ class TestClassify:
         assert entry["in_C"] is True
         assert entry["in_D"] is True
         assert entry["in_G"] is True
+
+    def test_builds_the_family_once(self, ideal_file, capsys, monkeypatch):
+        calls = []
+
+        def counting(I):
+            calls.append(I)
+            return q_family(I)
+
+        monkeypatch.setattr("gideal.classes.q_family", counting)
+        assert main(["classify", "--json", ideal_file(THREE_PRIMES)]) == 0
+        assert json.loads(capsys.readouterr().out)["ideals"]["I"]["in_G"] is True
+        assert len(calls) == 1
 
     def test_unit_ideal_rejected(self, ideal_file, capsys):
         code = main(["classify", ideal_file("ring 2 vars x,y; ideal I = 1;")])

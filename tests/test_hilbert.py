@@ -149,6 +149,17 @@ class TestFactoredAssembly:
     def test_multiplicity_with_cross_check(self):
         assert multiplicity_e(THREE_PRIMES) == 11
 
+    def test_multiplicity_builds_the_family_once(self, monkeypatch):
+        calls = []
+
+        def counting(I):
+            calls.append(I)
+            return q_family(I)
+
+        monkeypatch.setattr("gideal.classes.q_family", counting)
+        assert multiplicity_e(THREE_PRIMES) == 11
+        assert calls == [THREE_PRIMES]
+
     def test_length_identity(self):
         # colength(I) - colength(M^d) splits over the factors
         fac = factor_C(THREE_PRIMES)

@@ -1,6 +1,8 @@
 """Integral closure via the Newton polyhedron, cross-checked against the
-power-membership oracle, plus direct checks of the rational simplex."""
+power-membership oracle, plus direct checks of the integer simplex against
+the `Fraction` oracle and of the membership caches against fresh solves."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from gideal import MonomialIdeal, is_integrally_closed, newton_closure
 from gideal.lp import max_convex_cover
 from gideal.newton import NewtonMembership
 
-from oracles import closure_by_powers
+from oracles import closure_by_powers, max_convex_cover_fractions
 from samplers import random_finite_ideal, random_small_ideal
 
 
@@ -20,18 +22,18 @@ def I2(*gens):
 
 class TestSimplex:
     def test_two_pure_squares(self):
-        opt, dual = max_convex_cover([(2, 0), (0, 2)], (1, 1))
+        opt, dual, _ = max_convex_cover([(2, 0), (0, 2)], (1, 1))
         assert opt == 1
         assert len(dual) == 2
 
     def test_fractional_optimum(self):
-        opt, _ = max_convex_cover([(2, 0), (0, 3)], (1, 1))
+        opt, _, _ = max_convex_cover([(2, 0), (0, 3)], (1, 1))
         assert opt == Fraction(1, 2) + Fraction(1, 3)
 
     def test_dual_is_separating_certificate(self):
         columns = [(3, 0, 0), (0, 3, 0), (1, 1, 1)]
         rhs = (1, 1, 0)
-        opt, dual = max_convex_cover(columns, rhs)
+        opt, dual, _ = max_convex_cover(columns, rhs)
         assert opt < 1
         assert all(y >= 0 for y in dual)
         assert sum(y * r for y, r in zip(dual, rhs)) == opt
@@ -48,19 +50,54 @@ class TestSimplex:
                 if any(col):
                     columns.append(col)
             rhs = tuple(rng.randint(0, 12) for _ in range(n))
-            opt, dual = max_convex_cover(columns, rhs)
+            opt, dual, _ = max_convex_cover(columns, rhs)
             assert len(dual) == n
             assert all(y >= 0 for y in dual)
             assert sum(y * r for y, r in zip(dual, rhs)) == opt
             for col in columns:
                 assert sum(y * c for y, c in zip(dual, col)) >= 1
 
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(89)
+        for _ in range(3000):
+            n, m = rng.randint(1, 5), rng.randint(1, 30)
+            columns = []
+            while len(columns) < m:
+                col = tuple(rng.randint(0, 9) for _ in range(n))
+                if any(col):
+                    columns.append(col)
+            rhs = tuple(rng.randint(0, 20) for _ in range(n))
+            opt, dual, rows = max_convex_cover(columns, rhs)
+            assert (opt, dual) == max_convex_cover_fractions(columns, rhs)
+            # the returned basis is primal feasible for rhs
+            assert all(sum(r * b for r, b in zip(row, rhs)) >= 0 for row in rows)
+
+    def test_basis_rows_give_optimum_elsewhere(self):
+        rng = random.Random(97)
+        reused = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 4), rng.randint(1, 10)
+            columns = []
+            while len(columns) < m:
+                col = tuple(rng.randint(0, 6) for _ in range(n))
+                if any(col):
+                    columns.append(col)
+            rhs = tuple(rng.randint(0, 12) for _ in range(n))
+            _, dual, rows = max_convex_cover(columns, rhs)
+            for _ in range(5):
+                v = tuple(rng.randint(0, 12) for _ in range(n))
+                if all(sum(r * b for r, b in zip(row, v)) >= 0 for row in rows):
+                    reused += 1
+                    got = max_convex_cover_fractions(columns, v)[0]
+                    assert got == sum(y * b for y, b in zip(dual, v))
+        assert reused >= 300
+
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError):
             max_convex_cover([(0, 0)], (1, 1))
 
     def test_exact_rationals_no_drift(self):
-        opt, _ = max_convex_cover([(7, 0), (0, 11)], (1, 1))
+        opt, _, _ = max_convex_cover([(7, 0), (0, 11)], (1, 1))
         assert opt == Fraction(1, 7) + Fraction(1, 11)
 
 
@@ -91,6 +128,39 @@ class TestMembership:
         assert calls == []
         assert m.contains((4, 0))
         assert m.contains((2, 1))
+
+    def test_unit_ideal_decided_once(self, monkeypatch):
+        calls = []
+        is_unit = MonomialIdeal.is_unit
+
+        def counting(self):
+            calls.append(self)
+            return is_unit(self)
+
+        monkeypatch.setattr(MonomialIdeal, "is_unit", counting)
+        m = NewtonMembership(I2((3, 0), (1, 1), (0, 3)))
+        assert [m.contains(v) for v in [(0, 0), (1, 1), (2, 0), (0, 5)]] == [
+            False, True, False, True,
+        ]
+        u = NewtonMembership(MonomialIdeal.unit(2))
+        assert u.contains((0, 0)) and u.contains((3, 1))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_answers_match_fresh_solves(self, n):
+        rng = random.Random(101 + n)
+        side = {2: 9, 3: 6, 4: 4}[n]
+        box = list(itertools.product(range(side), repeat=n))
+        ideals = []
+        for _ in range(6):
+            ideals.append(random_finite_ideal(rng, n, max_deg=side))
+            ideals.append(random_small_ideal(rng, n, max_deg=side, max_gens=6))
+        for I in ideals:
+            m = NewtonMembership(I)
+            rng.shuffle(box)
+            for v in box:
+                fresh = max_convex_cover(m.columns, v)[0] >= 1
+                assert m.contains(v) == fresh, (I.gens, v)
 
 
 class TestClosure:
@@ -154,6 +224,19 @@ class TestClosure:
         assert newton_closure(U) == U
         Z = MonomialIdeal.zero(2)
         assert newton_closure(Z) == Z
+
+    def test_reuses_bases_along_long_faces(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_convex_cover(*args)
+
+        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
+        I = MonomialIdeal.of(3, [(61, 0, 0), (0, 59, 0), (0, 0, 64), (1, 1, 1)])
+        closed = newton_closure(I)
+        assert len(closed.gens) == 180
+        assert len(calls) <= 10
 
     def test_principal_is_closed(self):
         I = MonomialIdeal.of(3, [(1, 2, 0)])
