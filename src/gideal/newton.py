@@ -10,15 +10,27 @@ optimal for every later point in its cone (where it stays feasible),
 and there the cached dual decides membership with no solve.  The simplex
 runs only for points that no cached hyperplane rejects and no cached
 basis covers.
+
+The closure is found column by column along the last exponent.  The
+closure is an ideal, so the height of a column (its least member) never
+increases as the other exponents grow.  Each column starts at the least
+of the heights of its neighbours one step lower, the generator of I in
+the column and a degree cap, a point that is a member or lies past the
+cap.  The walk queries downward from there and stops at the first point
+outside, so no query is a point of I and membership needs no
+divisibility scan.  Minimal generators have degree at most D + n - 1 for
+the largest generator degree D, which caps the heights and makes the
+walk finite.  Heights are kept for only two values of the first
+exponent, so memory grows with the number of generators found, not with
+the number of columns walked.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import gcd
 from operator import mul
 
-from .ideals import MonomialIdeal, _minimal, mono_deg, monomials_of_degree
+from .ideals import MonomialIdeal, mono_deg
 from .lp import max_convex_cover
 
 
@@ -30,7 +42,7 @@ class NewtonMembership:
             raise ValueError("the zero ideal has no Newton polyhedron")
         self.ideal = ideal
         self._unit = ideal.is_unit()
-        self.columns = [tuple(g) for g in ideal.gens]
+        self.columns = list(ideal.gens)
         # integer separators (w, c): w.v < c implies v is outside
         self._seps: list[tuple[tuple[int, ...], int]] = []
         # optimal bases (R, w, c) of earlier solves: for v with R.v >= 0 the
@@ -44,8 +56,6 @@ class NewtonMembership:
         # cached test goes first
         if any(sum(map(mul, w, v)) < c for w, c in self._seps):
             return False
-        if self.ideal.contains_monomial(v):
-            return True
         if mono_deg(v) < self.ideal.order:
             return False
         for R, w, c in self._bases:
@@ -66,40 +76,69 @@ class NewtonMembership:
 def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
     """The integral closure of a nonzero monomial ideal.
 
-    The search walks up the degrees from the order of I and keeps only the
-    monomials outside the closure.  A minimal generator of degree d has all
-    of its degree-(d-1) divisors outside, so the degree-d candidates are the
-    one-step multiples of the previous outside set whose every such divisor
-    is outside too; each is tested for membership, and the walk stops once
-    no candidate is left.  It also stops past degree D + n - 1, where D is
-    the largest generator degree: a lattice point of the Newton polyhedron
-    with total slack n or more over its witness combination can be
-    decremented in some coordinate, so every minimal lattice generator lies
-    below that bound.  The bound is re-asserted one degree higher at runtime.
+    The walk runs over columns: a prefix p = v[:-1] names the column of
+    points (p, z), and its height h(p) is the least z with (p, z) in the
+    closure.  The closure is an ideal, so h(p) <= h(p - e_i): heights never
+    increase along p.  A column starts at a point known to be a member, the
+    least of h(p - e_i) over i with p_i > 0 and of the last exponent of the
+    generator of I with prefix p (minimal generators have distinct
+    prefixes), and queries downward until the first point outside.  No
+    queried point (p, z) lies in I: z is below the generator with prefix
+    p, and a generator (q, w) with q < p has q <= p - e_i for some i, so
+    z < h(p - e_i) <= w.  (p, h(p)) is a minimal generator exactly when
+    h(p) < h(p - e_i) for every i with p_i > 0.
+
+    Every minimal generator has degree at most D + n - 1, where D is the
+    largest generator degree: a lattice point of the Newton polyhedron with
+    total slack n or more over its witness combination can be decremented
+    in some coordinate.  So no point above degree D + n is queried: the
+    walk counts them as members, which caps every height at D + n + 1 - |p|
+    and makes the prefixes of positive height a finite down-set.  Those are
+    walked in lex order, and a coordinate's loop ends at its first column
+    of height 0.  A minimal generator of degree D + n raises, re-asserting
+    the bound at runtime.  Heights are kept for two values of the first
+    exponent, the current and the previous one, since every p - e_i has
+    one of those.
     """
     if I.is_zero() or I.is_unit():
         return I
-    n = I.n
-    member = NewtonMembership(I)
-    lo, hi = I.order, I.max_degree + n - 1
+    n, m = I.n, I.n - 1
+    contains = NewtonMembership(I).contains
+    top = I.max_degree + n
+    own = {g[:-1]: g[-1] for g in I.gens}
     found: list[tuple[int, ...]] = []
-    cands = monomials_of_degree(n, lo)
-    for degree in range(lo, hi + 2):
-        outside = []
-        for v in cands:
-            if not member.contains(v):
-                outside.append(v)
-            elif degree > hi:
+    prev: dict[tuple[int, ...], int] = {}
+    cur: dict[tuple[int, ...], int] = {}
+    p = [0] * m
+    while True:
+        prefix = tuple(p)
+        key = prefix[1:]
+        # the least height of a column p - e_i; top + 1 stands for none
+        below = prev.get(key, 0) if p and p[0] else top + 1
+        for i in range(1, m):
+            if p[i]:
+                below = min(below, cur.get(key[: i - 1] + (p[i] - 1,) + key[i:], 0))
+        deg = sum(p)
+        z = min(below, own.get(prefix, below), top + 1 - deg)
+        while z and contains(prefix + (z - 1,)):
+            z -= 1
+        cur[key] = z
+        if z < below and deg + z <= top:
+            if deg + z == top:
                 raise RuntimeError("integral closure generated above the degree bound")
-            else:
-                found.append(v)
-        # a multiple v of the outside set counts once per divisor v - e_i
-        # outside, and has one such divisor per nonzero exponent
-        hits = Counter(u[:i] + (u[i] + 1,) + u[i + 1 :] for u in outside for i in range(n))
-        cands = sorted(v for v, k in hits.items() if k == n - v.count(0))
-        if not cands:
+            found.append(prefix + (z,))
+        # next prefix in lex order: the last coordinate while the height is
+        # positive, else end the loop of the last nonzero coordinate
+        k = m - 1 if z else max((i for i in range(m) if p[i]), default=-1) - 1
+        if k < 0:
             break
-    result = MonomialIdeal(n, _minimal(found))
+        p[k + 1 :] = [0] * (m - k - 1)
+        p[k] += 1
+        if k == 0:
+            prev, cur = cur, {}
+    # each minimal generator is found once; put them in canonical order
+    found.sort(key=lambda v: (sum(v), v))
+    result = MonomialIdeal(n, tuple(found))
     if not result.contains_ideal(I):
         raise RuntimeError("integral closure lost the ideal it started from")
     return result

@@ -8,6 +8,9 @@ the package imports this module.
   lower-hull `closure_seq`.
 - `closure_by_powers`: integral closure by the power test, against the
   Newton-polyhedron `newton_closure`.
+- `newton_closure_by_degrees`: integral closure by a walk up the degrees
+  through the monomials outside it, against the column walk of
+  `newton_closure`.
 - `hilbert_function_incl_excl`: the Hilbert function by
   inclusion-exclusion over the generators, against the sliced
   `MonomialIdeal.hilbert_function`.
@@ -17,11 +20,13 @@ the package imports this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 from gideal import MonomialIdeal, Staircase, minplus_product, newton_closure
-from gideal.ideals import mono_deg, mono_lcm, monomials_of_degree
+from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
+from gideal.newton import NewtonMembership
 
 
 def closure_seq_minplus(a: Staircase) -> Staircase:
@@ -72,6 +77,41 @@ def closure_by_powers(I: MonomialIdeal, k_max: int | None = None) -> MonomialIde
             if integral(vt):
                 found.append(vt)
     return MonomialIdeal.of(n, found)
+
+
+def newton_closure_by_degrees(I: MonomialIdeal) -> MonomialIdeal:
+    """Integral closure by a walk up the degrees from the order of I.
+
+    Keeps only the monomials outside the closure.  A minimal generator of
+    degree d has all of its degree-(d-1) divisors outside, so the degree-d
+    candidates are the one-step multiples of the previous outside set whose
+    every such divisor is outside too.  Each candidate is tested for
+    membership in I and then in the Newton polyhedron, up to degree D + n
+    for the largest generator degree D.
+    """
+    if I.is_zero() or I.is_unit():
+        return I
+    n = I.n
+    member = NewtonMembership(I)
+    lo, hi = I.order, I.max_degree + n - 1
+    found: list[tuple[int, ...]] = []
+    cands = monomials_of_degree(n, lo)
+    for degree in range(lo, hi + 2):
+        outside = []
+        for v in cands:
+            if not (I.contains_monomial(v) or member.contains(v)):
+                outside.append(v)
+            elif degree > hi:
+                raise RuntimeError("integral closure generated above the degree bound")
+            else:
+                found.append(v)
+        # a multiple v of the outside set counts once per divisor v - e_i
+        # outside, and has one such divisor per nonzero exponent
+        hits = Counter(u[:i] + (u[i] + 1,) + u[i + 1 :] for u in outside for i in range(n))
+        cands = sorted(v for v, k in hits.items() if k == n - v.count(0))
+        if not cands:
+            break
+    return MonomialIdeal(n, _minimal(found))
 
 
 def hilbert_function_incl_excl(I: MonomialIdeal, t: int) -> int:

@@ -1,9 +1,11 @@
 """Integral closure via the Newton polyhedron, cross-checked against the
-power-membership oracle, plus direct checks of the integer simplex against
-the `Fraction` oracle and of the membership caches against fresh solves."""
+power-membership oracle and the degree walk, plus direct checks of the
+integer simplex against the `Fraction` oracle and of the membership caches
+against fresh solves."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,12 @@ from gideal import MonomialIdeal, is_integrally_closed, newton_closure
 from gideal.lp import max_convex_cover
 from gideal.newton import NewtonMembership
 
-from oracles import closure_by_powers, max_convex_cover_fractions
-from samplers import random_finite_ideal, random_small_ideal
+from oracles import (
+    closure_by_powers,
+    max_convex_cover_fractions,
+    newton_closure_by_degrees,
+)
+from samplers import random_finite_ideal, random_gstar, random_small_ideal
 
 
 def I2(*gens):
@@ -237,6 +243,47 @@ class TestClosure:
         closed = newton_closure(I)
         assert len(closed.gens) == 180
         assert len(calls) <= 10
+
+    def test_matches_degree_walk(self):
+        rng = random.Random(29)
+        ideals = []
+        for n in (1, 2, 3, 4):
+            for _ in range(75):
+                ideals.append(random_small_ideal(
+                    rng, n, max_deg=rng.randint(2, 7), max_gens=rng.randint(1, 7)))
+                ideals.append(random_finite_ideal(rng, n, max_deg=rng.randint(2, 7)))
+        assert sum(I.colength() is None for I in ideals) >= len(ideals) // 3
+        for _ in range(40):
+            I, _ = random_gstar(rng)
+            ideals += [I, I * I, I * I * I]
+        assert len(ideals) >= 600
+        for I in ideals:
+            assert newton_closure(I) == newton_closure_by_degrees(I), I.gens
+
+    def test_queries_only_outside_points_of_I(self, monkeypatch):
+        queried = []
+        contains = NewtonMembership.contains
+
+        def recording(self, v):
+            queried.append(v)
+            return contains(self, v)
+
+        monkeypatch.setattr(NewtonMembership, "contains", recording)
+        I = MonomialIdeal.of(3, [(61, 0, 0), (0, 59, 0), (0, 0, 64), (1, 1, 1)])
+        assert len(newton_closure(I).gens) == 180
+        assert len(queried) <= 2500
+        assert not any(I.contains_monomial(v) for v in queried)
+
+    def test_memory_stays_flat(self):
+        I = MonomialIdeal.of(3, [(300, 0, 0), (0, 300, 0), (0, 0, 300), (1, 1, 1)])
+        tracemalloc.start()
+        try:
+            closed = newton_closure(I)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(closed.gens) == 901
+        assert peak < 1 << 20
 
     def test_principal_is_closed(self):
         I = MonomialIdeal.of(3, [(1, 2, 0)])
