@@ -77,6 +77,10 @@ def _minimal(gens) -> tuple[Monomial, ...]:
     ones are grouped by their middle exponents m[1:-2]; inside a group the
     last two exponents form a staircase (first rising, second falling) whose
     only possible divisor of (x, y) is the last step with first exponent <= x.
+    A candidate looks up its own group and tests that step inline.  Only
+    for n >= 4 are there other groups; then each one whose middle exponents
+    divide the candidate's is tested the same way.  The sweep keeps the
+    monomials in lex order, so a stable sort by degree gives (degree, lex).
     """
     ms = sorted(set(gens))
     if not ms or len(ms[0]) == 1:
@@ -85,26 +89,37 @@ def _minimal(gens) -> tuple[Monomial, ...]:
     kept = []
     for m in ms:
         mid, x, y = m[1:-2], m[-2], m[-1]
-        if any(
-            mono_divides(key, mid) and _under_staircase(xs, neg_ys, x, y)
-            for key, (xs, neg_ys) in groups.items()
-        ):
+        own = groups.get(mid)
+        if own is not None:
+            xs, neg_ys = own
+            i = bisect_right(xs, x)
+            if i and -neg_ys[i - 1] <= y:
+                continue
+        if len(groups) > (own is not None) and _under_other_group(groups, mid, x, y):
             continue
         kept.append(m)
-        xs, neg_ys = groups.setdefault(mid, ([], []))
+        if own is None:
+            own = groups[mid] = ([], [])
+        xs, neg_ys = own
         # drop the steps that (x, y) dominates, then insert it
         lo = bisect_right(xs, x - 1)
         hi = bisect_right(neg_ys, -y, lo)
         xs[lo:hi] = [x]
         neg_ys[lo:hi] = [-y]
-    kept.sort(key=lambda m: (sum(m), m))
+    kept.sort(key=sum)
     return tuple(kept)
 
 
-def _under_staircase(xs: list[int], neg_ys: list[int], x: int, y: int) -> bool:
-    """Whether some step (xs[i], -neg_ys[i]) is <= (x, y) in both exponents."""
-    i = bisect_right(xs, x)
-    return i > 0 and -neg_ys[i - 1] <= y
+def _under_other_group(
+    groups: dict[Monomial, tuple[list[int], list[int]]], mid: Monomial, x: int, y: int
+) -> bool:
+    """Whether a kept monomial outside the group `mid` divides (mid, x, y)."""
+    for key, (xs, neg_ys) in groups.items():
+        if key != mid and mono_divides(key, mid):
+            i = bisect_right(xs, x)
+            if i and -neg_ys[i - 1] <= y:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -197,13 +212,13 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._match(other)
-        prods = [mono_mul(a, b) for a in self.gens for b in other.gens]
+        prods = [tuple(map(add, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.n, _minimal(prods))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection: generated by pairwise lcms."""
         self._match(other)
-        lcms = [mono_lcm(a, b) for a in self.gens for b in other.gens]
+        lcms = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.n, _minimal(lcms))
 
     def __pow__(self, k: int) -> "MonomialIdeal":
@@ -250,14 +265,19 @@ class MonomialIdeal:
     # -- counting --------------------------------------------------------
 
     def colength(self) -> int | None:
-        """Number of monomials outside the ideal; None when infinite."""
+        """Number of monomials outside the ideal; None when infinite.
+
+        The colength is finite exactly when every variable has a pure power
+        among the generators.  A minimal generating set holds at most one
+        pure power per variable, so that is one pass: exactly n generators
+        have n - 1 zero exponents.
+        """
         if self.is_zero():
             return None
         if self.is_unit():
             return 0
-        for i in range(self.n):
-            if not any(_is_pure_power(g, i) for g in self.gens):
-                return None
+        if [g.count(0) for g in self.gens].count(self.n - 1) != self.n:
+            return None
         return _outside_total(self.gens, self.n)
 
     def hilbert_function(self, t: int) -> int:
@@ -314,10 +334,6 @@ class CoordinatePrime:
         return MonomialIdeal(n, tuple(sorted(gens)))
 
 
-def _is_pure_power(g: Monomial, i: int) -> bool:
-    return all(e == 0 for j, e in enumerate(g) if j != i)
-
-
 # -- staircase counting (one sweep over the first exponent) ---------------
 # x_0^e * m lies outside the ideal exactly when m lies outside the slice at e,
 # the ideal generated by the tails of the generators with first exponent <= e.
@@ -341,12 +357,23 @@ def _slices(gens: tuple[Monomial, ...], top: int):
 
 @lru_cache(maxsize=None)
 def _outside_total(gens: tuple[Monomial, ...], n: int) -> int:
-    """Monomials outside a finite-colength ideal, swept to the x_0 pure power."""
-    if any(mono_deg(g) == 0 for g in gens):
-        return 0
+    """Monomials outside a proper finite-colength ideal, given minimally.
+
+    Only the pure power of x_0 reaches the largest first exponent: any other
+    generator reaching it would be its multiple.  So the sweep over the first
+    exponent stops there, and in one variable that exponent is the count.
+    In two variables the outside set is the staircase area: over the
+    lex-consecutive generators a, b, the columns a[0] <= e < b[0] each hold
+    a[1] outside monomials.  From three variables on, each slice is counted
+    in one variable fewer.
+    """
+    top = max(gens)[0]
     if n == 1:
-        return min(g[0] for g in gens)
-    slices = _slices(gens, min(g[0] for g in gens if _is_pure_power(g, 0)))
+        return top
+    if n == 2:
+        s = sorted(gens)
+        return sum((b[0] - a[0]) * a[1] for a, b in zip(s, s[1:]))
+    slices = _slices(gens, top)
     return sum((hi - lo) * _outside_total(sl, n - 1) for lo, hi, sl in slices)
 
 

@@ -14,6 +14,8 @@ the package imports this module.
 - `hilbert_function_incl_excl`: the Hilbert function by
   inclusion-exclusion over the generators, against the sliced
   `MonomialIdeal.hilbert_function`.
+- `colength_by_box`: the colength by testing every monomial below the
+  pure powers, against the sliced `MonomialIdeal.colength`.
 - `max_convex_cover_fractions`: the simplex over `Fraction` entries,
   against the fraction-free integer tableau of `lp.max_convex_cover`.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from gideal import MonomialIdeal, Staircase, minplus_product, newton_closure
@@ -139,6 +142,20 @@ def hilbert_function_incl_excl(I: MonomialIdeal, t: int) -> int:
         if r >= 0:
             inside += (-1) ** (bits + 1) * comb(r + n - 1, n - 1)
     return total - inside
+
+
+def colength_by_box(I: MonomialIdeal) -> int:
+    """Colength of a finite-colength ideal: the monomials of the box below
+    the pure powers that no generator divides.
+
+    Visits every point of the box, so for small pure powers only.
+    """
+    tops = [min(g[i] for g in I.gens if sum(g) == g[i]) for i in range(I.n)]
+    return sum(
+        1
+        for v in product(*(range(a) for a in tops))
+        if not any(all(e <= f for e, f in zip(g, v)) for g in I.gens)
+    )
 
 
 def max_convex_cover_fractions(

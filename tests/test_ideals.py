@@ -14,8 +14,13 @@ from gideal.ideals import (
     reg_dim1_saturated,
 )
 
-from oracles import hilbert_function_incl_excl
-from samplers import random_finite_ideal, random_small_ideal
+from oracles import colength_by_box, hilbert_function_incl_excl
+from samplers import (
+    random_class_c,
+    random_finite_ideal,
+    random_gstar,
+    random_small_ideal,
+)
 
 
 def I3(*gens):
@@ -95,6 +100,22 @@ class TestMinimal:
                 rng.shuffle(gens)
                 assert _minimal(gens) == pairwise_minimal(gens)
 
+    def test_three_variables_skip_the_cross_group_scan(self, monkeypatch):
+        # below four variables every monomial has the same (empty) middle
+        # exponents, so a candidate is tested against its own staircase only
+        def refuse(a, b):
+            raise AssertionError("cross-group divisibility scan below n = 4")
+
+        rng = random.Random(37)
+        pairs = [(random_finite_ideal(rng, 3), random_small_ideal(rng, 3))
+                 for _ in range(30)]
+        ideals._outside_total.cache_clear()
+        monkeypatch.setattr(ideals, "mono_divides", refuse)
+        for I, J in pairs:
+            assert not (I * J).is_zero()
+            assert not (I & J).is_zero()
+            assert (I * I).colength() > 0
+
 
 class TestArithmetic:
     def test_product_of_variables(self):
@@ -131,6 +152,18 @@ class TestArithmetic:
         C2 = I.component(2)
         assert C2.gens == ((0, 1, 1), (2, 0, 0))
         assert I.component(3).mu == 6
+
+    def test_product_and_intersection_match_pairwise_filter(self):
+        rng = random.Random(31)
+        for n in range(1, 6):
+            for k in range(40):
+                I = (random_finite_ideal if k % 2 else random_small_ideal)(rng, n)
+                J = (random_finite_ideal if k % 3 else random_small_ideal)(rng, n)
+                pairs = [(g, h) for g in I.gens for h in J.gens]
+                prods = [tuple(a + b for a, b in zip(g, h)) for g, h in pairs]
+                lcms = [tuple(max(a, b) for a, b in zip(g, h)) for g, h in pairs]
+                assert (I * J).gens == pairwise_minimal(prods)
+                assert (I & J).gens == pairwise_minimal(lcms)
 
 
 class TestSaturation:
@@ -213,6 +246,38 @@ class TestCounting:
         monkeypatch.setattr(ideals, "_minimal", counting)
         assert MonomialIdeal.max_power(2, 60).colength() == 1830
         assert sum(sizes) <= 2 * 60
+
+    def test_colength_minimalizes_three_variable_slices_once_per_level(
+        self, monkeypatch
+    ):
+        # the slices of M^d in three variables are the powers of the maximal
+        # ideal of two, counted by their staircase area; growing each slice
+        # from the previous one minimalizes fewer than 2(d+1)^2 monomials,
+        # where rebuilding each from all tails takes about d^3/3
+        sizes = []
+
+        def counting(gens):
+            gens = list(gens)
+            sizes.append(len(gens))
+            return _minimal(gens)
+
+        ideals._outside_total.cache_clear()
+        monkeypatch.setattr(ideals, "_minimal", counting)
+        assert MonomialIdeal.max_power(3, 30).colength() == 4960
+        assert sum(sizes) <= 2 * 31**2
+
+    def test_colength_against_box_count(self):
+        rng = random.Random(41)
+        cases = []
+        # two variables, where the staircase area replaces the sweep, weigh most
+        for n, count in ((1, 10), (2, 40), (3, 15), (4, 8)):
+            for _ in range(count):
+                I = random_finite_ideal(rng, n)
+                cases += [I, I * I, I * I * I]
+        cases += [random_gstar(rng)[0] for _ in range(20)]
+        cases += [random_class_c(rng) for _ in range(20)]
+        for I in cases:
+            assert I.colength() == colength_by_box(I)
 
     def test_hilbert_function_of_unit_and_zero(self):
         from math import comb
