@@ -11,9 +11,9 @@ coordinate prime each.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, product as cartesian
 from math import comb
 
 from .ideals import (
@@ -93,6 +93,23 @@ def _check_member(j: int, m: MonomialIdeal, prev: MonomialIdeal | None) -> None:
         raise FamilyError(j, f"member {j} does not contain member {j - 1}")
 
 
+def _saturations(I: MonomialIdeal):
+    """Yield (t, Q_t) for t from the order of I on, without end.
+
+    Q_t saturates the degree-t component (gens of degree <= t) ∩ M^t, so it
+    is the saturation of those gens and changes only at generator degrees.
+    """
+    degs = [sum(g) for g in I.gens]
+    t, k = I.order, 0
+    while True:
+        top = bisect_right(degs, t)
+        if top > k:
+            k = top
+            Q = MonomialIdeal(I.n, I.gens[:k]).saturate()
+        yield t, Q
+        t += 1
+
+
 def q_family(I: MonomialIdeal) -> QFamily:
     """Saturations of the component ideals of I from its order upward.
 
@@ -101,13 +118,11 @@ def q_family(I: MonomialIdeal) -> QFamily:
     """
     if I.colength() is None:
         raise ValueError("ideal does not have finite colength")
-    d = I.order
     members = []
-    for j in count():
-        Q = I.component(d + j).saturate()
+    for _, Q in _saturations(I):
         if Q.is_unit():
             return QFamily(I.n, tuple(members))
-        _check_member(j, Q, members[-1] if members else None)
+        _check_member(len(members), Q, members[-1] if members else None)
         members.append(Q)
 
 
@@ -115,13 +130,16 @@ def ideal_of_family(fam: QFamily, k: int) -> MonomialIdeal:
     """The ideal whose degree-(d0+k+j) piece is that of the j-th member.
 
     d0 is the regularity of the first member (0 for the all-unit family,
-    which yields M^k).
+    which yields M^k).  With e = d0 + k this is M^(e+s) + sum of Q_j ∩ M^(e+j),
+    since the family increases; a repeated member adds nothing.
     """
     if k < 0:
         raise ValueError("negative offset")
-    out = MonomialIdeal.zero(fam.n)
-    for j in range(fam.s + 1):
-        out = out + fam.q(j).component(fam.d0 + k + j)
+    e = fam.d0 + k
+    out = MonomialIdeal.max_power(fam.n, e + fam.s)
+    for j, Q in enumerate(fam.members):
+        if not j or Q != fam.members[j - 1]:
+            out = out + (Q & MonomialIdeal.max_power(fam.n, e + j))
     return out
 
 
@@ -131,33 +149,26 @@ def ideal_of_family(fam: QFamily, k: int) -> MonomialIdeal:
 def is_contracted(I: MonomialIdeal) -> bool:
     """Degreewise saturation test for contractedness.
 
-    For each generator degree d_k the saturation T of the d_k-th component
-    ideal must agree with I in all degrees up to the next generator degree;
-    past the top degree the comparison T ∩ M^top = component(top) settles
-    every remaining degree at once, because components gain no new
-    generators there and saturation is unchanged.
+    In each degree t from its order on, I must have as many monomials as
+    Q_t ⊇ I_t, the saturation of its degree-t component.  Past the top
+    generator degrees of I and of sat(I), which for a non-m-primary I can
+    be the larger, agreement persists, so the sweep stops there.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("contractedness needs a nonzero proper ideal")
-    degs = sorted({sum(g) for g in I.gens})
-    for k, dk in enumerate(degs):
-        comp = I.component(dk)
-        T = comp.saturate()
-        if k + 1 < len(degs):
-            for j in range(dk, degs[k + 1]):
-                if T.hilbert_function(j) != I.hilbert_function(j):
-                    return False
-        else:
-            if (T & MonomialIdeal.max_power(I.n, dk)) != comp:
-                return False
-    return True
+    for t, Q in _saturations(I):
+        if Q.hilbert_function(t) != I.hilbert_function(t):
+            return False
+        if t >= max(I.max_degree, Q.max_degree):
+            return True
 
 
 # -- class membership -------------------------------------------------------
 
 
 def _family_in_C(I: MonomialIdeal) -> tuple[QFamily | None, str]:
-    """(family of I, "") when its family reconstructs I, else (None, reason)."""
+    """(family of I, "") when its family reconstructs I, which given the family
+    holds exactly when I is contracted; else (None, reason)."""
     if I.colength() is None:
         return None, "colength is infinite"
     try:
@@ -167,7 +178,7 @@ def _family_in_C(I: MonomialIdeal) -> tuple[QFamily | None, str]:
     d = I.order
     if d < fam.d0:
         return None, f"order {d} is below the characteristic regularity {fam.d0}"
-    if ideal_of_family(fam, d - fam.d0) != I:
+    if not (I.is_unit() or is_contracted(I)):
         return None, "family reconstruction differs from the ideal"
     return fam, ""
 
@@ -271,15 +282,12 @@ def _factor_family(I: MonomialIdeal, fam: QFamily) -> CFactorization:
         right = right * f
     if left != right:
         raise RuntimeError("factorization balance identity failed")
-    for j in range(fam.s):
-        acc = MonomialIdeal.zero(n)
-        for split in cartesian(range(j + 1), repeat=len(factors)):
-            if sum(split) != j:
-                continue
-            term = MonomialIdeal.unit(n)
-            for lf, jk in zip(local_fams, split):
-                term = term * lf.q(jk)
-            acc = acc + term
+    # conv[j] sums the local products with indices adding to j; filled top down
+    conv = [MonomialIdeal.unit(n)] + [MonomialIdeal.zero(n)] * (fam.s - 1)
+    for lf in local_fams:
+        for j in reversed(range(fam.s)):
+            conv[j] = sum((conv[a] * lf.q(j - a) for a in range(j)), conv[j] * lf.q(0))
+    for j, acc in enumerate(conv):
         if acc.saturate() != fam.q(j):
             raise RuntimeError(f"localized families do not recover member {j}")
     return CFactorization(tuple(factors), (s, r))

@@ -31,10 +31,6 @@ def mono_deg(m: Monomial) -> int:
     return sum(m)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
@@ -237,16 +233,12 @@ class MonomialIdeal:
     # -- components and saturation --------------------------------------
 
     def component(self, j: int) -> "MonomialIdeal":
-        """The ideal generated by all degree-j monomials of the ideal."""
+        """The ideal generated by all degree-j monomials of the ideal:
+        its generators of degree at most j, intersected with M^j."""
         if j < 0:
             raise ValueError("negative degree")
-        multiples = {
-            mono_mul(g, m)
-            for g in self.gens
-            if mono_deg(g) <= j
-            for m in monomials_of_degree(self.n, j - mono_deg(g))
-        }
-        return MonomialIdeal(self.n, tuple(sorted(multiples)))
+        low = MonomialIdeal(self.n, tuple(g for g in self.gens if mono_deg(g) <= j))
+        return low & MonomialIdeal.max_power(self.n, j)
 
     def saturate_var(self, i: int) -> "MonomialIdeal":
         """The colon ideal I : x_i^infinity (x_i-exponents zeroed out)."""

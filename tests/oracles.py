@@ -18,16 +18,34 @@ the package imports this module.
   pure powers, against the sliced `MonomialIdeal.colength`.
 - `max_convex_cover_fractions`: the simplex over `Fraction` entries,
   against the fraction-free integer tableau of `lp.max_convex_cover`.
+- `component_by_listing`: the degree-j component ideal from every
+  degree-j multiple of every generator, against
+  `MonomialIdeal.component`, which intersects the low generators with M^j.
+- `q_family_by_listing`, `ideal_of_family_by_listing`,
+  `is_contracted_by_listing`, `family_in_C_by_listing` and
+  `factor_C_by_compositions`: the class layer built on listed component
+  ideals, with the recovery check of `factor_C` summed over every
+  composition of j, against the saturations by generator degree, the
+  contractedness test of C and the running convolution in
+  `gideal.classes`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import comb
 
-from gideal import MonomialIdeal, Staircase, minplus_product, newton_closure
+from gideal import (
+    CFactorization,
+    MonomialIdeal,
+    QFamily,
+    Staircase,
+    minplus_product,
+    newton_closure,
+)
+from gideal.classes import FamilyError, _check_member, _omitted_variables
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
 from gideal.newton import NewtonMembership
 
@@ -205,3 +223,120 @@ def max_convex_cover_fractions(
         basis[leaving] = entering
 
     return tab[n][width - 1], tuple(tab[n][m:m + n])
+
+
+def component_by_listing(I: MonomialIdeal, j: int) -> MonomialIdeal:
+    """The ideal generated by every degree-j multiple of every generator."""
+    if j < 0:
+        raise ValueError("negative degree")
+    multiples = {
+        tuple(a + b for a, b in zip(g, m))
+        for g in I.gens
+        if mono_deg(g) <= j
+        for m in monomials_of_degree(I.n, j - mono_deg(g))
+    }
+    return MonomialIdeal(I.n, tuple(sorted(multiples)))
+
+
+def q_family_by_listing(I: MonomialIdeal) -> QFamily:
+    """Saturations of the listed component ideals, from the order of I up to
+    the first unit, with the member checks of `q_family`."""
+    if I.colength() is None:
+        raise ValueError("ideal does not have finite colength")
+    d = I.order
+    members = []
+    for j in count():
+        Q = component_by_listing(I, d + j).saturate()
+        if Q.is_unit():
+            return QFamily(I.n, tuple(members))
+        _check_member(j, Q, members[-1] if members else None)
+        members.append(Q)
+
+
+def ideal_of_family_by_listing(fam: QFamily, k: int) -> MonomialIdeal:
+    """Sum of the listed degree-(d0+k+j) components of the members, j <= s."""
+    if k < 0:
+        raise ValueError("negative offset")
+    out = MonomialIdeal.zero(fam.n)
+    for j in range(fam.s + 1):
+        out = out + component_by_listing(fam.q(j), fam.d0 + k + j)
+    return out
+
+
+def is_contracted_by_listing(I: MonomialIdeal) -> bool:
+    """Contractedness from listed components: the saturation T of the
+    component at each generator degree must agree with I up to the next
+    generator degree, and T ∩ M^top must equal the top component."""
+    if I.is_zero() or I.is_unit():
+        raise ValueError("contractedness needs a nonzero proper ideal")
+    degs = sorted({sum(g) for g in I.gens})
+    for k, dk in enumerate(degs):
+        comp = component_by_listing(I, dk)
+        T = comp.saturate()
+        if k + 1 < len(degs):
+            for j in range(dk, degs[k + 1]):
+                if T.hilbert_function(j) != I.hilbert_function(j):
+                    return False
+        elif (T & MonomialIdeal.max_power(I.n, dk)) != comp:
+            return False
+    return True
+
+
+def family_in_C_by_listing(I: MonomialIdeal) -> tuple[QFamily | None, str]:
+    """`_family_in_C` by rebuilding I from its listed family."""
+    if I.colength() is None:
+        return None, "colength is infinite"
+    try:
+        fam = q_family_by_listing(I)
+    except FamilyError as err:
+        return None, str(err)
+    d = I.order
+    if d < fam.d0:
+        return None, f"order {d} is below the characteristic regularity {fam.d0}"
+    if ideal_of_family_by_listing(fam, d - fam.d0) != I:
+        return None, "family reconstruction differs from the ideal"
+    return fam, ""
+
+
+def factor_C_by_compositions(I: MonomialIdeal) -> CFactorization:
+    """`factor_C` on listed families, recovering member j as the saturated
+    sum of the local products over every composition of j.
+
+    The compositions come from filtering all index tuples, so this costs
+    O(s^(k+1)) products for k local families.
+    """
+    fam, reason = family_in_C_by_listing(I)
+    if fam is None:
+        raise ValueError(f"not in C: {reason}")
+    d, n = I.order, I.n
+    if fam.s == 0:
+        return CFactorization((), (0, d))
+    local_fams = []
+    for omega in _omitted_variables(fam, n):
+        members = []
+        for m in fam.members:
+            loc = m.saturate_var(omega)
+            if loc.is_unit():
+                break
+            members.append(loc)
+        local_fams.append(QFamily.of(n, members))
+    factors = [ideal_of_family_by_listing(lf, 0) for lf in local_fams]
+    total = sum(f.order for f in factors)
+    s, r = max(0, total - d), max(0, d - total)
+    right = MonomialIdeal.max_power(n, r)
+    for f in factors:
+        right = right * f
+    if I * MonomialIdeal.max_power(n, s) != right:
+        raise RuntimeError("factorization balance identity failed")
+    for j in range(fam.s):
+        acc = MonomialIdeal.zero(n)
+        for split in product(range(j + 1), repeat=len(local_fams)):
+            if sum(split) != j:
+                continue
+            term = MonomialIdeal.unit(n)
+            for lf, jk in zip(local_fams, split):
+                term = term * lf.q(jk)
+            acc = acc + term
+        if acc.saturate() != fam.q(j):
+            raise RuntimeError(f"localized families do not recover member {j}")
+    return CFactorization(tuple(factors), (s, r))

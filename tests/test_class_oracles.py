@@ -1,0 +1,186 @@
+"""The class layer against its listing oracles, and guards that it lists no
+component ideal.
+
+`q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family`,
+`MonomialIdeal.component` and `factor_C` are compared with the routes in
+`tests/oracles.py` that list every degree-t multiple of every generator.
+"""
+
+import random
+
+import pytest
+
+from gideal import (
+    FamilyError,
+    MonomialIdeal,
+    factor_C,
+    goto_form,
+    hs_via_factorization,
+    ideal_of_family,
+    is_contracted,
+    is_in_C,
+    q_family,
+)
+from gideal.classes import _family_in_C
+from gideal.cli import _classify_ideal
+
+from oracles import (
+    component_by_listing,
+    factor_C_by_compositions,
+    family_in_C_by_listing,
+    ideal_of_family_by_listing,
+    is_contracted_by_listing,
+    q_family_by_listing,
+)
+from samplers import (
+    random_class_c,
+    random_finite_ideal,
+    random_gstar,
+    random_small_ideal,
+)
+
+THREE_PRIMES = MonomialIdeal.of(
+    3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+)
+
+
+def ladder(D: int) -> MonomialIdeal:
+    """x^D, y^D, z^D, xy, yz, xz."""
+    return MonomialIdeal.of(
+        3, [(D, 0, 0), (0, D, 0), (0, 0, D), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    )
+
+
+def finite_samples(seed: int, per_kind: int) -> list[MonomialIdeal]:
+    """Seeded finite-colength ideals: G*, class C and arbitrary ones with
+    n = 2-4, each kind followed by products of consecutive samples."""
+    rng = random.Random(seed)
+    kinds = [
+        lambda: random_gstar(rng)[0],
+        lambda: random_class_c(rng),
+        lambda: random_finite_ideal(rng, 2),
+        lambda: random_finite_ideal(rng, 3),
+        lambda: random_finite_ideal(rng, 4, max_deg=3),
+    ]
+    out = []
+    for make in kinds:
+        ideals = [make() for _ in range(per_kind)]
+        out += ideals
+        out += [a * b for a, b in zip(ideals[::2], ideals[1::2])]
+    return out
+
+
+FINITE = finite_samples(71, 120)
+SMALL = [
+    random_small_ideal(random.Random(1000 * n + k), n)
+    for n in range(2, 6)
+    for k in range(200)
+]
+
+
+def family_or_error(fn, I):
+    try:
+        return "members", fn(I).members
+    except FamilyError as err:
+        return "FamilyError", err.j, str(err)
+
+
+def test_sample_counts():
+    assert (len(FINITE), len(SMALL)) == (900, 800)
+
+
+@pytest.mark.parametrize("group", ["finite", "small"])
+def test_contracted_and_component_match_listing(group):
+    answers = set()
+    for I in FINITE if group == "finite" else SMALL:
+        answer = is_contracted(I)
+        assert answer == is_contracted_by_listing(I), I
+        answers.add(answer)
+        for j in range(I.max_degree + 2):
+            assert I.component(j) == component_by_listing(I, j), (I, j)
+    assert answers == {True, False}
+
+
+def test_component_of_zero_and_unit_ideals():
+    for n in (1, 2, 4):
+        for I in (MonomialIdeal.zero(n), MonomialIdeal.unit(n)):
+            for j in range(4):
+                assert I.component(j) == component_by_listing(I, j)
+
+
+def test_family_layer_matches_listing():
+    seen_errors = seen_in_C = seen_out_of_C = 0
+    for I in FINITE:
+        fam = family_or_error(q_family, I)
+        assert fam == family_or_error(q_family_by_listing, I)
+        seen_errors += fam[0] == "FamilyError"
+        got = _family_in_C(I)
+        assert got == family_in_C_by_listing(I)
+        if got[0] is None:
+            seen_out_of_C += 1
+            continue
+        seen_in_C += 1
+        assert factor_C(I) == factor_C_by_compositions(I)
+    # every branch is exercised
+    assert min(seen_errors, seen_in_C, seen_out_of_C) > 0
+
+
+def test_reconstruction_matches_listing_on_well_formed_families():
+    # members of C and the well-formed families of ideals outside it
+    checked = 0
+    for I in FINITE:
+        try:
+            fam = q_family(I)
+        except FamilyError:
+            continue
+        for k in range(3):
+            assert ideal_of_family(fam, k) == ideal_of_family_by_listing(fam, k)
+        checked += 1
+    assert checked >= 600
+
+
+class TestNoComponentListed:
+    @pytest.fixture(autouse=True)
+    def forbid_component(self, monkeypatch):
+        def forbidden(self, j):
+            raise AssertionError("the class layer listed a component ideal")
+
+        monkeypatch.setattr(MonomialIdeal, "component", forbidden)
+
+    def ideals(self):
+        rng = random.Random(5)
+        out = [THREE_PRIMES]
+        for _ in range(4):
+            out.append(random_gstar(rng)[0])
+            out.append(random_class_c(rng))
+        return out
+
+    def test_class_layer(self):
+        for I in self.ideals():
+            is_contracted(I)
+            assert is_in_C(I)
+            goto_form(I)
+            factor_C(I)
+            hs_via_factorization(I)
+            _classify_ideal(I)
+
+    def test_ladder(self):
+        I = ladder(30)
+        assert is_contracted(I)
+        assert _classify_ideal(I)["in_G"]
+        assert len(factor_C(I).factors) == 3
+
+
+def test_family_saturates_once_per_generator_degree(monkeypatch):
+    calls = []
+    saturate = MonomialIdeal.saturate
+
+    def counting(self):
+        calls.append(self)
+        return saturate(self)
+
+    monkeypatch.setattr(MonomialIdeal, "saturate", counting)
+    fam = q_family(ladder(100))
+    assert fam.s == 98
+    # generator degrees 2 and 100: the family ends at the second saturation
+    assert len(calls) <= 2

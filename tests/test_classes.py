@@ -33,6 +33,7 @@ from gideal import (
     q_family,
 )
 
+from oracles import is_contracted_by_listing
 from samplers import embed_pairs, random_class_c, random_gstar
 
 
@@ -107,11 +108,32 @@ class TestContracted:
         with pytest.raises(ValueError):
             is_contracted(MonomialIdeal.unit(3))
 
+    def test_saturation_generated_above_the_top_degree(self):
+        # not m-primary: sat(I) gains x0*x1*x2*x3^3, of degree 6, above the top
+        # degree 5 of I, and I differs from it first in degree 6, so a sweep
+        # that stops at the top degree of I would call I contracted
+        I = MonomialIdeal.of(
+            4, [(2, 1, 1, 0), (0, 0, 5, 0), (0, 2, 0, 3), (1, 0, 0, 4)]
+        )
+        sat = I.saturate()
+        assert (I.max_degree, sat.max_degree) == (5, 6)
+        assert (1, 1, 1, 3) in sat.gens
+        for t in range(I.order, 6):
+            Q_t = I.component(t).saturate()
+            assert Q_t.hilbert_function(t) == I.hilbert_function(t)
+        assert (sat.hilbert_function(6), I.hilbert_function(6)) == (61, 62)
+        assert not is_contracted(I)
+        assert not is_contracted_by_listing(I)
+
 
 class TestMembershipC:
     def test_three_prime_ideal(self):
         assert is_in_C(THREE_PRIMES)
         assert is_in_D(THREE_PRIMES)
+
+    def test_unit_ideal(self):
+        for n in (1, 2, 3):
+            assert is_in_C(MonomialIdeal.unit(n))
 
     def test_max_powers(self):
         for d in (1, 2, 3):

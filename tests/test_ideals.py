@@ -232,9 +232,11 @@ class TestCounting:
                 assert I.colength() == total
 
     def test_colength_minimalizes_each_generator_once_per_level(self, monkeypatch):
-        # every slice of M^d in two variables is one monomial, so a sweep that
-        # grows each slice from the previous one minimalizes about 2d monomials,
-        # where rebuilding each slice from all generators takes d(d+1)/2
+        # in two variables the colength is the staircase area and minimalizes
+        # nothing; the Hilbert function still sweeps the slices, and every
+        # slice of M^d is one monomial, so a sweep that grows each slice from
+        # the previous one minimalizes about 2d monomials, where rebuilding
+        # each slice from all generators takes d(d+1)/2
         sizes = []
 
         def counting(gens):
@@ -243,8 +245,11 @@ class TestCounting:
             return _minimal(gens)
 
         ideals._outside_total.cache_clear()
+        ideals._outside_at_degree.cache_clear()
         monkeypatch.setattr(ideals, "_minimal", counting)
-        assert MonomialIdeal.max_power(2, 60).colength() == 1830
+        M60 = MonomialIdeal.max_power(2, 60)
+        assert M60.colength() == 1830
+        assert M60.hilbert_function(59) == 60
         assert sum(sizes) <= 2 * 60
 
     def test_colength_minimalizes_three_variable_slices_once_per_level(
