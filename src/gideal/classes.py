@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import count
 from math import comb
+from operator import and_
 
 from .ideals import (
     CoordinatePrime,
@@ -147,16 +149,21 @@ def ideal_of_family(fam: QFamily, k: int) -> MonomialIdeal:
 
 
 def is_contracted(I: MonomialIdeal) -> bool:
-    """Degreewise saturation test for contractedness.
-
-    In each degree t from its order on, I must have as many monomials as
-    Q_t ⊇ I_t, the saturation of its degree-t component.  Past the top
-    generator degrees of I and of sat(I), which for a non-m-primary I can
-    be the larger, agreement persists, so the sweep stops there.
-    """
+    """Degreewise saturation test for contractedness."""
     if I.is_zero() or I.is_unit():
         raise ValueError("contractedness needs a nonzero proper ideal")
-    for t, Q in _saturations(I):
+    return _agrees_with_saturations(I, _saturations(I))
+
+
+def _agrees_with_saturations(I: MonomialIdeal, pairs) -> bool:
+    """Whether I is contracted, given the pairs (t, Q_t) from its order on.
+
+    In each degree t, I must have as many monomials as Q_t ⊇ I_t, the
+    saturation of its degree-t component.  Past the top generator degrees
+    of I and of sat(I), which for a non-m-primary I can be the larger,
+    agreement persists, so the sweep stops there.
+    """
+    for t, Q in pairs:
         if Q.hilbert_function(t) != I.hilbert_function(t):
             return False
         if t >= max(I.max_degree, Q.max_degree):
@@ -178,7 +185,8 @@ def _family_in_C(I: MonomialIdeal) -> tuple[QFamily | None, str]:
     d = I.order
     if d < fam.d0:
         return None, f"order {d} is below the characteristic regularity {fam.d0}"
-    if not (I.is_unit() or is_contracted(I)):
+    pairs = ((t, fam.q(t - d)) for t in count(d))
+    if not (I.is_unit() or _agrees_with_saturations(I, pairs)):
         return None, "family reconstruction differs from the ideal"
     return fam, ""
 
@@ -246,8 +254,10 @@ def factor_C(I: MonomialIdeal) -> CFactorization:
     """Split a member of C along the minimal primes of its first member.
 
     Each factor is the ideal of the family localized at one minimal prime;
-    the balance exponents make the product identity exact, and the
-    defining property of the localized families is re-verified.
+    the balance exponents make the product identity exact.  A saturated
+    one-dimensional monomial ideal is the intersection of its localizations
+    at its minimal primes, so every member is re-verified as the
+    intersection of the local members.
     """
     fam, reason = _family_in_C(I)
     if fam is None:
@@ -282,13 +292,8 @@ def _factor_family(I: MonomialIdeal, fam: QFamily) -> CFactorization:
         right = right * f
     if left != right:
         raise RuntimeError("factorization balance identity failed")
-    # conv[j] sums the local products with indices adding to j; filled top down
-    conv = [MonomialIdeal.unit(n)] + [MonomialIdeal.zero(n)] * (fam.s - 1)
-    for lf in local_fams:
-        for j in reversed(range(fam.s)):
-            conv[j] = sum((conv[a] * lf.q(j - a) for a in range(j)), conv[j] * lf.q(0))
-    for j, acc in enumerate(conv):
-        if acc.saturate() != fam.q(j):
+    for j in range(fam.s):
+        if reduce(and_, (lf.q(j) for lf in local_fams)) != fam.q(j):
             raise RuntimeError(f"localized families do not recover member {j}")
     return CFactorization(tuple(factors), (s, r))
 
@@ -351,7 +356,8 @@ class GForm:
             raise ValueError("negative order")
         items = []
         seen = set()
-        for label, stair in dict(mapping).items():
+        pairs = mapping.items() if isinstance(mapping, dict) else mapping
+        for label, stair in pairs:
             if label in seen:
                 raise ValueError(f"duplicate prime label {label!r}")
             seen.add(label)
@@ -381,12 +387,9 @@ def staircase_alphas(a: Staircase) -> tuple[int, ...]:
     reach 0 and are 0 from there on.
     """
     d = a.d
+    # b never decreases, so the max is the last index a bisection finds
     b = [a[i] - i for i in range(d + 1)]
-    out = []
-    for j in range(b[d]):
-        top = max(i for i in range(d + 1) if b[i] <= j)
-        out.append(d - top)
-    return tuple(out)
+    return tuple(d + 1 - bisect_right(b, j) for j in range(b[d]))
 
 
 def alphas_to_staircase(alphas) -> Staircase:
@@ -411,7 +414,9 @@ def goto_form(I: MonomialIdeal) -> tuple[GForm | None, str]:
     """The GForm of a member of C, or (None, reason).
 
     Every family member must be the intersection of powers of the minimal
-    primes of the first member.
+    primes of the first member.  A member is the intersection of its
+    localizations at those primes, so it suffices that each localization
+    is a prime power.
     """
     fam, reason = _family_in_C(I)
     if fam is None:
@@ -427,10 +432,8 @@ def _form_of_family(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
     omegas = _omitted_variables(fam, n)
     columns = {omega: [] for omega in omegas}
     for j in range(fam.s):
-        Q = fam.q(j)
-        meet = MonomialIdeal.unit(n)
         for omega in omegas:
-            a = localize_power(Q, CoordinatePrime(omega))
+            a = localize_power(fam.q(j), CoordinatePrime(omega))
             if a is None:
                 return (
                     None,
@@ -438,18 +441,7 @@ def _form_of_family(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
                     f"{omega} is not a prime power",
                 )
             columns[omega].append(a)
-            meet = meet & CoordinatePrime(omega).power(n, a)
-        if meet != Q:
-            return (
-                None,
-                f"member {j} is not an intersection of minimal-prime powers",
-            )
-    mapping = {}
-    for omega in omegas:
-        col = columns[omega]
-        if any(y > x for x, y in zip(col, col[1:])):
-            raise RuntimeError("prime powers failed to decrease along the family")
-        mapping[omega] = alphas_to_staircase(col)
+    mapping = {omega: alphas_to_staircase(col) for omega, col in columns.items()}
     form = GForm.of(I.order, mapping)
     if gform_to_monomial(form, n) != I:
         raise RuntimeError("Goto form failed to reconstruct the ideal")

@@ -38,10 +38,11 @@ def _gens(I: MonomialIdeal, names) -> list[str]:
 
 def _classify_ideal(I: MonomialIdeal) -> dict:
     reasons = {}
-    contracted = is_contracted(I)
+    fam, c_reason = _family_in_C(I)
+    # a proper member of C passed the contractedness test in `_family_in_C`
+    contracted = (fam is not None and not I.is_unit()) or is_contracted(I)
     if not contracted:
         reasons["contracted"] = "fails the degreewise saturation test"
-    fam, c_reason = _family_in_C(I)
     if fam is not None:
         in_d = is_integrally_closed(I)
         if not in_d:

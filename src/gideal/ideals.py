@@ -391,10 +391,9 @@ def _outside_at_degree(gens: tuple[Monomial, ...], n: int, t: int) -> int:
 def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     """Power a with Q R_P ∩ R = P^a, or None when not a prime power.
 
-    The localization of a monomial ideal at a coordinate prime P is obtained
-    by zeroing the exponent of the omitted variable; the result is read in
-    the n-1 remaining variables and compared against powers of their
-    maximal ideal.
+    The localization of a monomial ideal at a coordinate prime P, contracted
+    back to R, is its saturation at the omitted variable; it is a power of P
+    exactly when it holds every monomial of its order in the other variables.
     """
     if Q.n < 2:
         raise ValueError("localization needs at least two variables")
@@ -403,13 +402,9 @@ def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     w = prime.omitted
     if not 0 <= w < Q.n:
         raise ValueError(f"omitted index {w} out of range")
-    rows = [g[:w] + g[w + 1 :] for g in Q.gens]
-    proj = MonomialIdeal.of(Q.n - 1, rows)
-    if proj.is_unit():
-        return 0
-    a = proj.order
-    if proj.gens == monomials_of_degree(Q.n - 1, a):
-        return a
+    loc = Q.saturate_var(w)
+    if loc == prime.power(Q.n, loc.order):
+        return loc.order
     return None
 
 

@@ -53,9 +53,9 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             out.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -24,10 +24,14 @@ the package imports this module.
 - `q_family_by_listing`, `ideal_of_family_by_listing`,
   `is_contracted_by_listing`, `family_in_C_by_listing` and
   `factor_C_by_compositions`: the class layer built on listed component
-  ideals, with the recovery check of `factor_C` summed over every
-  composition of j, against the saturations by generator degree, the
-  contractedness test of C and the running convolution in
-  `gideal.classes`.
+  ideals, with member j recovered as the saturated sum of the local
+  products over every composition of j (`recovered_by_compositions`),
+  against the saturations by generator degree, the contractedness test
+  of C and the intersection of the local members in `gideal.classes`.
+- `localize_power_by_projection` and `form_of_family_by_meet`: the
+  localization read in n - 1 variables, and Goto forms that also check
+  each member against the meet of its prime powers, against the
+  saturation at the omitted variable and the meet-free `goto_form`.
 """
 
 from __future__ import annotations
@@ -39,9 +43,13 @@ from math import comb
 
 from gideal import (
     CFactorization,
+    CoordinatePrime,
+    GForm,
     MonomialIdeal,
     QFamily,
     Staircase,
+    alphas_to_staircase,
+    gform_to_monomial,
     minplus_product,
     newton_closure,
 )
@@ -298,28 +306,50 @@ def family_in_C_by_listing(I: MonomialIdeal) -> tuple[QFamily | None, str]:
     return fam, ""
 
 
-def factor_C_by_compositions(I: MonomialIdeal) -> CFactorization:
-    """`factor_C` on listed families, recovering member j as the saturated
-    sum of the local products over every composition of j.
-
-    The compositions come from filtering all index tuples, so this costs
-    O(s^(k+1)) products for k local families.
-    """
-    fam, reason = family_in_C_by_listing(I)
-    if fam is None:
-        raise ValueError(f"not in C: {reason}")
-    d, n = I.order, I.n
-    if fam.s == 0:
-        return CFactorization((), (0, d))
-    local_fams = []
-    for omega in _omitted_variables(fam, n):
+def local_families(fam: QFamily) -> list[QFamily]:
+    """The family localized at each minimal prime of its first member, in
+    the order of the omitted variables."""
+    out = []
+    for omega in _omitted_variables(fam, fam.n):
         members = []
         for m in fam.members:
             loc = m.saturate_var(omega)
             if loc.is_unit():
                 break
             members.append(loc)
-        local_fams.append(QFamily.of(n, members))
+        out.append(QFamily.of(fam.n, members))
+    return out
+
+
+def recovered_by_compositions(local_fams: list[QFamily], j: int) -> MonomialIdeal:
+    """Saturation of the sum, over every composition j_1 + ... + j_k = j,
+    of the products of the local members j_1, ..., j_k.
+
+    The compositions come from filtering all index tuples, so this costs
+    O(j^k) products for k local families.
+    """
+    n = local_fams[0].n
+    acc = MonomialIdeal.zero(n)
+    for split in product(range(j + 1), repeat=len(local_fams)):
+        if sum(split) != j:
+            continue
+        term = MonomialIdeal.unit(n)
+        for lf, jk in zip(local_fams, split):
+            term = term * lf.q(jk)
+        acc = acc + term
+    return acc.saturate()
+
+
+def factor_C_by_compositions(I: MonomialIdeal) -> CFactorization:
+    """`factor_C` on listed families, recovering member j by
+    `recovered_by_compositions`."""
+    fam, reason = family_in_C_by_listing(I)
+    if fam is None:
+        raise ValueError(f"not in C: {reason}")
+    d, n = I.order, I.n
+    if fam.s == 0:
+        return CFactorization((), (0, d))
+    local_fams = local_families(fam)
     factors = [ideal_of_family_by_listing(lf, 0) for lf in local_fams]
     total = sum(f.order for f in factors)
     s, r = max(0, total - d), max(0, d - total)
@@ -329,14 +359,55 @@ def factor_C_by_compositions(I: MonomialIdeal) -> CFactorization:
     if I * MonomialIdeal.max_power(n, s) != right:
         raise RuntimeError("factorization balance identity failed")
     for j in range(fam.s):
-        acc = MonomialIdeal.zero(n)
-        for split in product(range(j + 1), repeat=len(local_fams)):
-            if sum(split) != j:
-                continue
-            term = MonomialIdeal.unit(n)
-            for lf, jk in zip(local_fams, split):
-                term = term * lf.q(jk)
-            acc = acc + term
-        if acc.saturate() != fam.q(j):
+        if recovered_by_compositions(local_fams, j) != fam.q(j):
             raise RuntimeError(f"localized families do not recover member {j}")
     return CFactorization(tuple(factors), (s, r))
+
+
+def localize_power_by_projection(
+    Q: MonomialIdeal, prime: CoordinatePrime
+) -> int | None:
+    """`localize_power` read in the n - 1 variables other than the omitted
+    one: the projected generators must be all monomials of one degree."""
+    w = prime.omitted
+    proj = MonomialIdeal.of(Q.n - 1, [g[:w] + g[w + 1 :] for g in Q.gens])
+    if proj.is_unit():
+        return 0
+    if proj.gens == monomials_of_degree(Q.n - 1, proj.order):
+        return proj.order
+    return None
+
+
+def form_of_family_by_meet(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
+    """`_form_of_family` that also intersects the prime powers of every
+    member and compares the meet with the member."""
+    n = I.n
+    if fam.s == 0:
+        return GForm.of(I.order, {}), ""
+    omegas = _omitted_variables(fam, n)
+    columns = {omega: [] for omega in omegas}
+    for j in range(fam.s):
+        Q = fam.q(j)
+        meet = MonomialIdeal.unit(n)
+        for omega in omegas:
+            a = localize_power_by_projection(Q, CoordinatePrime(omega))
+            if a is None:
+                return (
+                    None,
+                    f"localization of member {j} at the prime omitting variable "
+                    f"{omega} is not a prime power",
+                )
+            columns[omega].append(a)
+            meet = meet & CoordinatePrime(omega).power(n, a)
+        if meet != Q:
+            return None, f"member {j} is not an intersection of minimal-prime powers"
+    mapping = {}
+    for omega in omegas:
+        col = columns[omega]
+        if any(y > x for x, y in zip(col, col[1:])):
+            raise RuntimeError("prime powers failed to decrease along the family")
+        mapping[omega] = alphas_to_staircase(col)
+    form = GForm.of(I.order, mapping)
+    if gform_to_monomial(form, n) != I:
+        raise RuntimeError("Goto form failed to reconstruct the ideal")
+    return form, ""

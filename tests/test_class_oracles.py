@@ -1,16 +1,21 @@
 """The class layer against its listing oracles, and guards that it lists no
-component ideal.
+component ideal and checks each family fact once.
 
 `q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family`,
 `MonomialIdeal.component` and `factor_C` are compared with the routes in
-`tests/oracles.py` that list every degree-t multiple of every generator.
+`tests/oracles.py` that list every degree-t multiple of every generator;
+`goto_form` and `localize_power` with the meet-checking and projecting
+routes there.
 """
 
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
 from gideal import (
+    CoordinatePrime,
     FamilyError,
     MonomialIdeal,
     factor_C,
@@ -19,6 +24,7 @@ from gideal import (
     ideal_of_family,
     is_contracted,
     is_in_C,
+    localize_power,
     q_family,
 )
 from gideal.classes import _family_in_C
@@ -28,9 +34,13 @@ from oracles import (
     component_by_listing,
     factor_C_by_compositions,
     family_in_C_by_listing,
+    form_of_family_by_meet,
     ideal_of_family_by_listing,
     is_contracted_by_listing,
+    local_families,
+    localize_power_by_projection,
     q_family_by_listing,
+    recovered_by_compositions,
 )
 from samplers import (
     random_class_c,
@@ -71,6 +81,7 @@ def finite_samples(seed: int, per_kind: int) -> list[MonomialIdeal]:
 
 
 FINITE = finite_samples(71, 120)
+FINITE_C = [(I, fam) for I in FINITE if (fam := _family_in_C(I)[0]) is not None]
 SMALL = [
     random_small_ideal(random.Random(1000 * n + k), n)
     for n in range(2, 6)
@@ -83,6 +94,18 @@ def family_or_error(fn, I):
         return "members", fn(I).members
     except FamilyError as err:
         return "FamilyError", err.j, str(err)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def test_sample_counts():
@@ -172,15 +195,76 @@ class TestNoComponentListed:
 
 
 def test_family_saturates_once_per_generator_degree(monkeypatch):
-    calls = []
-    saturate = MonomialIdeal.saturate
-
-    def counting(self):
-        calls.append(self)
-        return saturate(self)
-
-    monkeypatch.setattr(MonomialIdeal, "saturate", counting)
+    calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
     fam = q_family(ladder(100))
     assert fam.s == 98
     # generator degrees 2 and 100: the family ends at the second saturation
     assert len(calls) <= 2
+
+
+def test_member_is_the_meet_of_its_localizations():
+    # the saturated composition sum equals the intersection of the local
+    # members, which is what the recovery check of factor_C compares
+    checked = 0
+    for I, fam in FINITE_C:
+        if not fam.s:
+            continue
+        lfs = local_families(fam)
+        for j in range(fam.s):
+            meet = reduce(and_, (lf.q(j) for lf in lfs))
+            assert recovered_by_compositions(lfs, j) == meet, (I, j)
+        checked += 1
+    assert checked >= 300
+
+
+def test_goto_form_matches_meet_oracle():
+    reasons = set()
+    for I, fam in FINITE_C:
+        got = goto_form(I)
+        assert got == form_of_family_by_meet(I, fam), I
+        reasons.add(got[1] != "")
+    assert reasons == {True, False}
+
+
+@pytest.mark.parametrize("group", ["members", "small"])
+def test_localize_power_matches_projection(group):
+    # an m-primary ideal localizes to the unit ideal, so the finite samples
+    # enter through their family members
+    if group == "members":
+        ideals = [Q for _, fam in FINITE_C for Q in fam.members]
+    else:
+        ideals = SMALL
+    answers = set()
+    for I in ideals:
+        for w in range(I.n):
+            P = CoordinatePrime(w)
+            answer = localize_power(I, P)
+            assert answer == localize_power_by_projection(I, P), (I, w)
+            answers.add(answer is None)
+    assert answers == {True, False}
+
+
+def test_factor_checks_members_without_products(monkeypatch):
+    calls = count_calls(monkeypatch, MonomialIdeal, "__mul__")
+    assert len(factor_C(ladder(100)).factors) == 3
+    # I * M^s and M^r times the three factors: the balance identity only
+    assert len(calls) <= 4
+
+
+def test_C_test_saturates_once_per_family_fact(monkeypatch):
+    calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
+    assert is_in_C(ladder(100))
+    # two family members and the saturation check of the regularity
+    assert len(calls) <= 3
+
+
+def test_classify_reuses_the_contractedness_of_C(monkeypatch):
+    import gideal.classes
+    import gideal.cli
+
+    counted = [
+        count_calls(monkeypatch, module, "is_contracted")
+        for module in (gideal.classes, gideal.cli)
+    ]
+    assert _classify_ideal(THREE_PRIMES)["contracted"] is True
+    assert counted == [[], []]

@@ -342,6 +342,11 @@ class TestGotoForms:
             with pytest.raises(ValueError):
                 gform_to_monomial(form, 3)
 
+    def test_duplicate_labels_in_pairs_rejected(self):
+        pairs = [(0, Staircase((0, 2))), (0, Staircase((0, 3)))]
+        with pytest.raises(ValueError, match="duplicate prime label 0"):
+            GForm.of(1, pairs)
+
     def test_order_below_regularity_rejected(self):
         form = GForm(0, ((0, Staircase((0, 2))),))
         with pytest.raises(ValueError):

@@ -235,6 +235,17 @@ class TestErrors:
         assert "Traceback" not in out.stderr
 
 
+    def test_superscript_digit_exit_two(self, ideal_file):
+        path = ideal_file("ring \u00b3 vars x; ideal I = x;\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-m", "gideal", "classify", path],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "line 1, column 6: unexpected character" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 class TestVerifyExamples:
     def test_all_pass_text(self, capsys):
         code = main(["verify-examples"])

@@ -45,6 +45,10 @@ class TestParse:
         doc = parse_document("ring 2 vars x,y; ideal I = 1;")
         assert doc.ideal("I") == MonomialIdeal.unit(2)
 
+    def test_decimal_digits_of_any_script(self):
+        doc = parse_document("ring 2 vars x,y; ideal I = x^\u0663, y;")
+        assert doc.ideal("I") == MonomialIdeal.of(2, [(3, 0), (0, 1)])
+
     def test_repeated_variable_multiplies(self):
         doc = parse_document("ring 2 vars x,y; ideal I = x*x*y^2*x;")
         assert doc.ideal("I") == MonomialIdeal.of(2, [(3, 2)])
@@ -87,6 +91,19 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_document("ring 2 vars x,y; ideal I = x?;")
         assert "unexpected character" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("ring \u00b3 vars x; ideal I = x;", (1, 6)),
+            ("ring 1 vars x;\nideal I = x^2\u00b2;", (2, 14)),
+        ],
+    )
+    def test_superscript_digit_is_unexpected(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert "unexpected character" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == position
 
     def test_number_other_than_one(self):
         with pytest.raises(ParseError):
