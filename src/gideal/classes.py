@@ -26,11 +26,9 @@ from .ideals import (
 )
 from .newton import is_integrally_closed, newton_closure
 from .staircases import (
-    SimpleFactorization,
     Staircase,
     closure_seq,
     factor_simple,
-    jdt_seq,
     minplus_product,
 )
 
@@ -54,7 +52,9 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class QFamily:
-    """Increasing family of saturated dimension-1 ideals, unit from s on."""
+    """Increasing family of saturated dimension-1 ideals, unit from s on.
+
+    `of` validates; the package builds families valid by construction."""
 
     n: int
     members: tuple[MonomialIdeal, ...]
@@ -83,16 +83,16 @@ class QFamily:
                 raise FamilyError(j, f"member {j} is not a proper nonzero ideal")
             if m.saturate() != m:
                 raise FamilyError(j, f"member {j} is not saturated")
-            _check_member(j, m, members[j - 1] if j else None)
+            _check_member(j, m)
+            if j and not members[j - 1] <= m:
+                raise FamilyError(j, f"member {j} does not contain member {j - 1}")
         return cls(n, members)
 
 
-def _check_member(j: int, m: MonomialIdeal, prev: MonomialIdeal | None) -> None:
-    """Member j must be one-dimensional and contain member j - 1."""
+def _check_member(j: int, m: MonomialIdeal) -> None:
+    """Member j must be one-dimensional."""
     if m.dimension() != 1:
         raise FamilyError(j, f"member {j} has dimension {m.dimension()} (expected 1)")
-    if prev is not None and not prev <= m:
-        raise FamilyError(j, f"member {j} does not contain member {j - 1}")
 
 
 def _saturations(I: MonomialIdeal):
@@ -116,7 +116,8 @@ def q_family(I: MonomialIdeal) -> QFamily:
     """Saturations of the component ideals of I from its order upward.
 
     Stops at the first unit saturation; for finite-colength input this
-    always happens.  Fails when some member is not one-dimensional.
+    always happens.  Fails when some member is not one-dimensional.  The
+    members saturate growing generator prefixes, so they increase.
     """
     if I.colength() is None:
         raise ValueError("ideal does not have finite colength")
@@ -124,7 +125,8 @@ def q_family(I: MonomialIdeal) -> QFamily:
     for _, Q in _saturations(I):
         if Q.is_unit():
             return QFamily(I.n, tuple(members))
-        _check_member(len(members), Q, members[-1] if members else None)
+        if not members or Q is not members[-1]:
+            _check_member(len(members), Q)
         members.append(Q)
 
 
@@ -281,7 +283,8 @@ def _factor_family(I: MonomialIdeal, fam: QFamily) -> CFactorization:
             if loc.is_unit():
                 break
             members.append(loc)
-        loc_fam = QFamily.of(n, members)
+        # saturations at one variable of saturated members: a valid family
+        loc_fam = QFamily(n, tuple(members))
         local_fams.append(loc_fam)
         factors.append(ideal_of_family(loc_fam, 0))
     total = sum(f.order for f in factors)
@@ -395,6 +398,8 @@ def staircase_alphas(a: Staircase) -> tuple[int, ...]:
 def alphas_to_staircase(alphas) -> Staircase:
     """Inverse of staircase_alphas: a_i = i + min{j : alpha_j <= d - i}."""
     col = list(alphas)
+    if any(a < 0 for a in col):
+        raise ValueError("prime powers must be non-negative")
     while col and col[-1] == 0:
         col.pop()
     if not col:
@@ -477,7 +482,8 @@ def gform_to_monomial(form: GForm, n: int) -> MonomialIdeal:
             if a:
                 Q = Q & CoordinatePrime(w).power(n, a)
         members.append(Q)
-    fam = QFamily.of(n, members)
+    # meets of prime powers with weakly decreasing exponents: a valid family
+    fam = QFamily(n, tuple(members))
     if form.order < fam.d0:
         raise ValueError(
             f"order {form.order} is below the regularity {fam.d0} of the first member"
@@ -514,24 +520,16 @@ class GSimpleFactorization:
 
 
 def gform_simple_factorization(form: GForm) -> GSimpleFactorization:
-    """Unique simple factorization of an integrally closed GForm."""
+    """Unique simple factorization of an integrally closed GForm.
+
+    `factor_simple` checks that the pieces rebuild each staircase, and the
+    orders then balance by the choice of m_power and balance."""
     factors = []
-    unit_power = 0
-    total_d = 0
+    net = form.order
     for label, stair in form.components:
-        sf: SimpleFactorization = factor_simple(stair)
-        unit_power += sf.m_power
-        total_d += stair.d
-        for d, t, mult in sf.factors:
-            factors.append((label, d, t, mult))
-    net = unit_power + form.order - total_d
+        sf = factor_simple(stair)
+        net += sf.m_power - stair.d
+        factors += [(label, d, t, mult) for d, t, mult in sf.factors]
     m_power, balance = max(0, net), max(0, -net)
-    recon = GForm.m_power(m_power)
-    for label, d, t, mult in factors:
-        piece = GForm.of(d, {label: jdt_seq(d, t)})
-        for _ in range(mult):
-            recon = gform_product(recon, piece)
-    if recon != gform_product(form, GForm.m_power(balance)):
-        raise RuntimeError("simple factorization failed to reconstruct the form")
     factors.sort(key=lambda f: (_label_key(f[0]), f[1], f[2]))
     return GSimpleFactorization(tuple(factors), m_power, balance)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, index
 
 Monomial = tuple[int, ...]
 
@@ -40,7 +40,7 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 
 def _check_monomial(n: int, m) -> Monomial:
-    t = tuple(int(e) for e in m)
+    t = tuple(map(index, m))
     if len(t) != n:
         raise AmbientMismatch(f"monomial {m!r} does not have {n} exponents")
     if any(e < 0 for e in t):
@@ -79,7 +79,7 @@ def _minimal(gens) -> tuple[Monomial, ...]:
     monomials in lex order, so a stable sort by degree gives (degree, lex).
     """
     ms = sorted(set(gens))
-    if not ms or len(ms[0]) == 1:
+    if not ms or len(ms[0]) < 2:
         return tuple(ms[:1])
     groups: dict[Monomial, tuple[list[int], list[int]]] = {}
     kept = []
@@ -233,12 +233,17 @@ class MonomialIdeal:
     # -- components and saturation --------------------------------------
 
     def component(self, j: int) -> "MonomialIdeal":
-        """The ideal generated by all degree-j monomials of the ideal:
-        its generators of degree at most j, intersected with M^j."""
+        """The ideal generated by all degree-j monomials of the ideal: the
+        degree-j multiples of its generators, minimal as they share a degree."""
         if j < 0:
             raise ValueError("negative degree")
-        low = MonomialIdeal(self.n, tuple(g for g in self.gens if mono_deg(g) <= j))
-        return low & MonomialIdeal.max_power(self.n, j)
+        multiples = {
+            tuple(map(add, g, m))
+            for g in self.gens
+            if mono_deg(g) <= j
+            for m in monomials_of_degree(self.n, j - mono_deg(g))
+        }
+        return MonomialIdeal(self.n, tuple(sorted(multiples)))
 
     def saturate_var(self, i: int) -> "MonomialIdeal":
         """The colon ideal I : x_i^infinity (x_i-exponents zeroed out)."""

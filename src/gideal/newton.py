@@ -2,13 +2,12 @@
 
 A monomial x^v lies in the integral closure of I exactly when v is
 componentwise above a convex combination of the exponent vectors of I.
-Membership is decided by an exact integer simplex, and each solve leaves
-certificates that later queries reuse.  A negative answer caches its dual
-as an integer separating hyperplane.  Every solve caches its optimal
-basis: its reduced costs do not depend on the point, so the basis stays
-optimal for every later point in its cone (where it stays feasible),
-and there the cached dual decides membership with no solve.  The simplex
-runs only for points that no cached hyperplane rejects and no cached
+Membership is decided by an exact integer simplex.  Each solve caches its
+optimal basis with its dual (w, c), scaled to integers.  The dual is
+feasible for every point, so w.v < c puts v outside.  The reduced costs do
+not depend on the point, so the basis stays optimal for every point in its
+cone (where it stays feasible), and there w.v >= c puts v inside.  The
+simplex runs only for points that no cached dual rejects and no cached
 basis covers.
 
 The closure is found column by column along the last exponent.  The
@@ -35,7 +34,8 @@ from .lp import max_convex_cover
 
 
 class NewtonMembership:
-    """Membership oracle for conv(gens(I)) + the non-negative orthant."""
+    """Membership oracle for conv(gens(I)) + the non-negative orthant, with
+    one cached list of optimal bases whose duals both reject and decide."""
 
     def __init__(self, ideal: MonomialIdeal):
         if ideal.is_zero():
@@ -43,34 +43,29 @@ class NewtonMembership:
         self.ideal = ideal
         self._unit = ideal.is_unit()
         self.columns = list(ideal.gens)
-        # integer separators (w, c): w.v < c implies v is outside
-        self._seps: list[tuple[tuple[int, ...], int]] = []
-        # optimal bases (R, w, c) of earlier solves: for v with R.v >= 0 the
-        # basis is still optimal, so v is inside exactly when w.v >= c
+        # optimal bases (R, w, c) of earlier solves: w.v < c puts v outside,
+        # and where R.v >= 0 the basis stays optimal and w.v >= c decides
         self._bases: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]] = []
 
     def contains(self, v: tuple[int, ...]) -> bool:
         if self._unit:
             return True
-        # a separator never rejects a point of the polyhedron, so the cheap
-        # cached test goes first
-        if any(sum(map(mul, w, v)) < c for w, c in self._seps):
+        # a dual never rejects a point of the polyhedron, so the cheap test
+        # goes first, newest first: the walk queries near the last solve
+        if any(sum(map(mul, w, v)) < c for _, w, c in reversed(self._bases)):
             return False
         if mono_deg(v) < self.ideal.order:
             return False
-        for R, w, c in self._bases:
+        # no dual rejects v, so a basis that stays optimal at v puts it inside
+        for R, _, _ in self._bases:
             if all(sum(map(mul, r, v)) >= 0 for r in R):
-                return sum(map(mul, w, v)) >= c
+                return True
         opt, dual, R = max_convex_cover(self.columns, tuple(v))
         den = 1
         for y in dual:
             den = den * y.denominator // gcd(den, y.denominator)
-        w = tuple(int(y * den) for y in dual)
-        self._bases.append((R, w, den))
-        if opt >= 1:
-            return True
-        self._seps.append((w, den))
-        return False
+        self._bases.append((R, tuple(int(y * den) for y in dual), den))
+        return opt >= 1
 
 
 def newton_closure(I: MonomialIdeal) -> MonomialIdeal:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index, lt
 
 
 @dataclass(frozen=True)
@@ -20,9 +21,9 @@ class Staircase:
 
     def __post_init__(self):
         a = self.steps
-        if not a or a[0] != 0:
+        if not a or index(a[0]) != 0:
             raise ValueError("staircase must start at 0")
-        if any(y <= x for x, y in zip(a, a[1:])):
+        if not all(map(lt, a, map(index, a[1:]))):
             raise ValueError("staircase must be strictly increasing")
 
     @classmethod

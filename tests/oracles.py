@@ -18,16 +18,18 @@ the package imports this module.
   pure powers, against the sliced `MonomialIdeal.colength`.
 - `max_convex_cover_fractions`: the simplex over `Fraction` entries,
   against the fraction-free integer tableau of `lp.max_convex_cover`.
-- `component_by_listing`: the degree-j component ideal from every
-  degree-j multiple of every generator, against
-  `MonomialIdeal.component`, which intersects the low generators with M^j.
+- `component_by_lcm`: the degree-j component ideal as the generators of
+  degree at most j intersected with M^j, against `MonomialIdeal.component`,
+  which lists every degree-j multiple of every generator.
 - `q_family_by_listing`, `ideal_of_family_by_listing`,
   `is_contracted_by_listing`, `family_in_C_by_listing` and
-  `factor_C_by_compositions`: the class layer built on listed component
-  ideals, with member j recovered as the saturated sum of the local
-  products over every composition of j (`recovered_by_compositions`),
-  against the saturations by generator degree, the contractedness test
-  of C and the intersection of the local members in `gideal.classes`.
+  `factor_C_by_compositions`: the class layer built on the component
+  ideals listed by `MonomialIdeal.component`, with the families checked
+  by the validating `QFamily.of` and member j recovered as the saturated
+  sum of the local products over every composition of j
+  (`recovered_by_compositions`), against the saturations by generator
+  degree, the contractedness test of C and the intersection of the local
+  members in `gideal.classes`.
 - `localize_power_by_projection` and `form_of_family_by_meet`: the
   localization read in n - 1 variables, and Goto forms that also check
   each member against the meet of its prime powers, against the
@@ -53,7 +55,7 @@ from gideal import (
     minplus_product,
     newton_closure,
 )
-from gideal.classes import FamilyError, _check_member, _omitted_variables
+from gideal.classes import FamilyError, _omitted_variables
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
 from gideal.newton import NewtonMembership
 
@@ -233,31 +235,26 @@ def max_convex_cover_fractions(
     return tab[n][width - 1], tuple(tab[n][m:m + n])
 
 
-def component_by_listing(I: MonomialIdeal, j: int) -> MonomialIdeal:
-    """The ideal generated by every degree-j multiple of every generator."""
+def component_by_lcm(I: MonomialIdeal, j: int) -> MonomialIdeal:
+    """The degree-j component ideal: the generators of degree at most j,
+    intersected with M^j through their pairwise lcms."""
     if j < 0:
         raise ValueError("negative degree")
-    multiples = {
-        tuple(a + b for a, b in zip(g, m))
-        for g in I.gens
-        if mono_deg(g) <= j
-        for m in monomials_of_degree(I.n, j - mono_deg(g))
-    }
-    return MonomialIdeal(I.n, tuple(sorted(multiples)))
+    low = MonomialIdeal(I.n, tuple(g for g in I.gens if mono_deg(g) <= j))
+    return low & MonomialIdeal.max_power(I.n, j)
 
 
 def q_family_by_listing(I: MonomialIdeal) -> QFamily:
     """Saturations of the listed component ideals, from the order of I up to
-    the first unit, with the member checks of `q_family`."""
+    the first unit, checked member by member by `QFamily.of`."""
     if I.colength() is None:
         raise ValueError("ideal does not have finite colength")
     d = I.order
     members = []
     for j in count():
-        Q = component_by_listing(I, d + j).saturate()
+        Q = I.component(d + j).saturate()
         if Q.is_unit():
-            return QFamily(I.n, tuple(members))
-        _check_member(j, Q, members[-1] if members else None)
+            return QFamily.of(I.n, members)
         members.append(Q)
 
 
@@ -267,7 +264,7 @@ def ideal_of_family_by_listing(fam: QFamily, k: int) -> MonomialIdeal:
         raise ValueError("negative offset")
     out = MonomialIdeal.zero(fam.n)
     for j in range(fam.s + 1):
-        out = out + component_by_listing(fam.q(j), fam.d0 + k + j)
+        out = out + fam.q(j).component(fam.d0 + k + j)
     return out
 
 
@@ -279,7 +276,7 @@ def is_contracted_by_listing(I: MonomialIdeal) -> bool:
         raise ValueError("contractedness needs a nonzero proper ideal")
     degs = sorted({sum(g) for g in I.gens})
     for k, dk in enumerate(degs):
-        comp = component_by_listing(I, dk)
+        comp = I.component(dk)
         T = comp.saturate()
         if k + 1 < len(degs):
             for j in range(dk, degs[k + 1]):

@@ -1,11 +1,11 @@
 """The class layer against its listing oracles, and guards that it lists no
 component ideal and checks each family fact once.
 
-`q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family`,
-`MonomialIdeal.component` and `factor_C` are compared with the routes in
-`tests/oracles.py` that list every degree-t multiple of every generator;
-`goto_form` and `localize_power` with the meet-checking and projecting
-routes there.
+`q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family` and
+`factor_C` are compared with the routes in `tests/oracles.py` built on the
+listed component ideals of `MonomialIdeal.component`, which is compared
+with the lcm route there; `goto_form` and `localize_power` with the
+meet-checking and projecting routes there.
 """
 
 import random
@@ -31,7 +31,7 @@ from gideal.classes import _family_in_C
 from gideal.cli import _classify_ideal
 
 from oracles import (
-    component_by_listing,
+    component_by_lcm,
     factor_C_by_compositions,
     family_in_C_by_listing,
     form_of_family_by_meet,
@@ -120,7 +120,7 @@ def test_contracted_and_component_match_listing(group):
         assert answer == is_contracted_by_listing(I), I
         answers.add(answer)
         for j in range(I.max_degree + 2):
-            assert I.component(j) == component_by_listing(I, j), (I, j)
+            assert I.component(j) == component_by_lcm(I, j), (I, j)
     assert answers == {True, False}
 
 
@@ -128,7 +128,7 @@ def test_component_of_zero_and_unit_ideals():
     for n in (1, 2, 4):
         for I in (MonomialIdeal.zero(n), MonomialIdeal.unit(n)):
             for j in range(4):
-                assert I.component(j) == component_by_listing(I, j)
+                assert I.component(j) == component_by_lcm(I, j)
 
 
 def test_family_layer_matches_listing():
@@ -268,3 +268,28 @@ def test_classify_reuses_the_contractedness_of_C(monkeypatch):
     ]
     assert _classify_ideal(THREE_PRIMES)["contracted"] is True
     assert counted == [[], []]
+
+
+def test_factor_saturates_no_local_member(monkeypatch):
+    calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
+    assert len(factor_C(ladder(100)).factors) == 3
+    # two family members and the regularity checks of the family and of the
+    # three local families, whose members are saturated by construction
+    assert len(calls) <= 6
+
+
+def test_goto_form_saturates_no_realized_member(monkeypatch):
+    calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
+    assert goto_form(ladder(100))[0] is not None
+    # two family members and the regularity checks of the family and of its
+    # realization, whose members are meets of prime powers
+    assert len(calls) <= 4
+
+
+def test_family_checks_each_distinct_member_once(monkeypatch):
+    import gideal.classes
+
+    calls = count_calls(monkeypatch, gideal.classes, "_check_member")
+    assert q_family(ladder(100)).s == 98
+    # one distinct member, (xy, yz, xz), from degree 2 to 99
+    assert len(calls) == 1

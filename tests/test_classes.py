@@ -266,6 +266,11 @@ class TestAlphaConversion:
         with pytest.raises(ValueError):
             alphas_to_staircase((1, 2))
 
+    def test_rejects_negative(self):
+        for col in ((2, -1), (0, -1), (-1,)):
+            with pytest.raises(ValueError, match="non-negative"):
+                alphas_to_staircase(col)
+
     def test_roundtrip_canonical(self):
         from itertools import combinations
 
@@ -407,6 +412,25 @@ class TestGFormSimpleFactorization:
     def test_requires_closed(self):
         with pytest.raises(ValueError):
             gform_simple_factorization(GForm.of(2, {0: Staircase((0, 5, 6))}))
+
+    def test_rebuilds_no_form(self, monkeypatch):
+        import gideal.staircases
+
+        calls = []
+        original = gideal.staircases.minplus_product
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gideal.staircases, "minplus_product", counting)
+        monkeypatch.setattr("gideal.classes.minplus_product", counting)
+        J = jdt_seq
+        form = GForm.of(9, {0: J(1, 2) * J(1, 2) * J(2, 5), 1: J(1, 3) * J(3, 4)})
+        calls.clear()
+        gform_simple_factorization(form)
+        # the self-checks of factor_simple: J(1,2)^2 J(2,5) and J(1,3) J(3,4)
+        assert len(calls) == 5
 
     def test_random_roundtrip(self):
         rng = random.Random(67)

@@ -56,6 +56,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MonomialIdeal.of(2, [(1, 1, 1)])
 
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            MonomialIdeal.of(2, [(1.5, 1)])
+
+    def test_fractional_query_rejected(self):
+        I = MonomialIdeal.of(2, [(1, 1)])
+        with pytest.raises(TypeError):
+            I.contains_monomial((1.9, 1))
+
+    def test_string_monomial_rejected(self):
+        with pytest.raises(TypeError):
+            MonomialIdeal.of(2, ["31", (1, 1)])
+
+    def test_empty_ring_rejected(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            MonomialIdeal.of(0, [()])
+
     def test_huge_exponent_rejected(self):
         with pytest.raises(OverflowError):
             MonomialIdeal.of(2, [(1 << 40, 0)])

@@ -121,7 +121,7 @@ class TestMembership:
     def test_cached_separator_rejects_without_simplex(self, monkeypatch):
         m = NewtonMembership(I2((4, 0), (0, 2)))
         assert not m.contains((3, 0))
-        assert len(m._seps) == 1
+        assert len(m._bases) == 1
         calls = []
 
         def counting(*args):
@@ -134,6 +134,21 @@ class TestMembership:
         assert calls == []
         assert m.contains((4, 0))
         assert m.contains((2, 1))
+
+    def test_dual_of_an_inside_solve_rejects(self, monkeypatch):
+        m = NewtonMembership(
+            MonomialIdeal.of(3, [(5, 0, 0), (0, 3, 0), (0, 0, 5), (3, 0, 1), (0, 1, 3)])
+        )
+        assert m.contains((0, 2, 2))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_convex_cover(*args)
+
+        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
+        assert not m.contains((1, 2, 0))
+        assert calls == []
 
     def test_unit_ideal_decided_once(self, monkeypatch):
         calls = []

@@ -35,6 +35,10 @@ class TestStaircaseType:
         with pytest.raises(ValueError):
             Staircase(())
 
+    def test_fractional_step_rejected(self):
+        with pytest.raises(TypeError):
+            Staircase((0, 2.5))
+
     def test_basic_accessors(self):
         a = S(0, 2, 5)
         assert a.d == 2
