@@ -21,6 +21,10 @@ class Staircase:
 
     def __post_init__(self):
         a = self.steps
+        if type(a) is not tuple:
+            # the package passes tuples; other sequences are stored as one
+            a = tuple(a)
+            object.__setattr__(self, "steps", a)
         if not a or index(a[0]) != 0:
             raise ValueError("staircase must start at 0")
         if not all(map(lt, a, map(index, a[1:]))):
@@ -152,7 +156,10 @@ def factor_simple(a: Staircase) -> SimpleFactorization:
     Each maximal edge of the lower hull with primitive direction (p, q)
     repeated g times contributes g to the maximal-ideal power when p == q
     and otherwise the simple factor (p, q) with multiplicity g.  The input
-    is closed exactly when it is the degreewise ceiling of that hull.
+    is closed exactly when it is the degreewise ceiling of that hull, and
+    then the pieces multiply back to it (`SimpleFactorization.reconstruct`):
+    a product of closed staircases is closed (Zariski), and its hull
+    joins the hull edges of the factors in order of slope.
     """
     hull = _lower_hull(list(enumerate(a.steps)))
     if _hull_ceiling(hull) != a.steps:
@@ -167,9 +174,6 @@ def factor_simple(a: Staircase) -> SimpleFactorization:
             m_power += g
         else:
             factors[(p, q)] = factors.get((p, q), 0) + g
-    out = SimpleFactorization(
+    return SimpleFactorization(
         m_power, tuple((d, t, factors[(d, t)]) for d, t in sorted(factors))
     )
-    if out.reconstruct() != a:
-        raise RuntimeError("simple factorization failed to reconstruct input")
-    return out

@@ -130,7 +130,14 @@ class _Parser:
         tok = self.take()
         if tok.kind != "int":
             self.fail(tok, f"expected {what}, found {tok.value!r}")
-        return int(tok.value), tok
+        # every integer the grammar accepts is below EXPONENT_LIMIT, and
+        # int() refuses very long strings, so the length past the leading
+        # zeros (of any script) decides first
+        digits = tok.value
+        lead = next((i for i, ch in enumerate(digits) if int(ch)), len(digits))
+        if len(digits) - lead > len(str(EXPONENT_LIMIT)):
+            self.fail(tok, f"{what} of {len(digits)} digits is too large")
+        return int(digits), tok
 
     def monomial(self, index: dict[str, int], n: int) -> Monomial:
         exps = [0] * n

@@ -34,6 +34,13 @@ the package imports this module.
   localization read in n - 1 variables, and Goto forms that also check
   each member against the meet of its prime powers, against the
   saturation at the omitted variable and the meet-free `goto_form`.
+
+The package computes each answer once.  Where a shipped function already
+inverts another, the tests use it as the second route: `factor_simple`
+against `SimpleFactorization.reconstruct`, `goto_form` against
+`gform_to_monomial`, `newton_closure` against `contains_ideal`,
+`factor_C` against the meet of its local members, and `multiplicity_e`
+against `hs_via_factorization`.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from gideal import (
     FamilyError,
     MonomialIdeal,
     factor_C,
+    gform_to_monomial,
     goto_form,
     hs_via_factorization,
     ideal_of_family,
@@ -203,8 +204,9 @@ def test_family_saturates_once_per_generator_degree(monkeypatch):
 
 
 def test_member_is_the_meet_of_its_localizations():
-    # the saturated composition sum equals the intersection of the local
-    # members, which is what the recovery check of factor_C compares
+    # factor_C splits each member into its local members without meeting
+    # them again: they meet in the member, and so does the saturated sum of
+    # the local products over the compositions of j
     checked = 0
     for I, fam in FINITE_C:
         if not fam.s:
@@ -212,6 +214,7 @@ def test_member_is_the_meet_of_its_localizations():
         lfs = local_families(fam)
         for j in range(fam.s):
             meet = reduce(and_, (lf.q(j) for lf in lfs))
+            assert meet == fam.q(j), (I, j)
             assert recovered_by_compositions(lfs, j) == meet, (I, j)
         checked += 1
     assert checked >= 300
@@ -224,6 +227,18 @@ def test_goto_form_matches_meet_oracle():
         assert got == form_of_family_by_meet(I, fam), I
         reasons.add(got[1] != "")
     assert reasons == {True, False}
+
+
+def test_goto_form_realizes_as_the_ideal():
+    # goto_form does not realize the form it returns; here every member of
+    # G among the samples is rebuilt from its form
+    realized = 0
+    for I, _ in FINITE_C:
+        form, _ = goto_form(I)
+        if form is not None:
+            assert gform_to_monomial(form, I.n) == I, I
+            realized += 1
+    assert realized >= 300
 
 
 @pytest.mark.parametrize("group", ["members", "small"])

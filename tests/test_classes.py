@@ -323,6 +323,18 @@ class TestGotoForms:
         )
         assert GForm.of(2, {0: Staircase((0, 1, 2))}) == GForm.m_power(2)
 
+    def test_constructor_is_canonical(self):
+        a, b = Staircase((0, 1, 3)), Staircase((0, 3))
+        assert GForm(2, ((0, a),)) == GForm.of(2, {0: a})
+        assert GForm(2, ((0, a),)).components == ((0, Staircase((0, 2))),)
+        # labels sorted, a unit staircase dropped
+        form = GForm(2, (("p", b), (1, a), (0, Staircase((0, 1)))))
+        assert form == GForm.of(2, {1: a, "p": b})
+        assert form.labels == (1, "p")
+        assert hash(form) == hash(GForm.of(2, [(1, a), ("p", b)]))
+        with pytest.raises(ValueError, match="negative order"):
+            GForm(-1, ())
+
     def test_realization_roundtrip_random(self):
         rng = random.Random(53)
         for _ in range(12):
@@ -342,10 +354,10 @@ class TestGotoForms:
 
     def test_repeated_labels_rejected(self):
         stair = Staircase((0, 2))
+        # the constructor rejects them, so no such form reaches realization
         for label in (0, "p"):
-            form = GForm(1, ((label, stair), (label, stair)))
-            with pytest.raises(ValueError):
-                gform_to_monomial(form, 3)
+            with pytest.raises(ValueError, match="duplicate prime label"):
+                GForm(1, ((label, stair), (label, stair)))
 
     def test_duplicate_labels_in_pairs_rejected(self):
         pairs = [(0, Staircase((0, 2))), (0, Staircase((0, 3)))]
@@ -429,8 +441,8 @@ class TestGFormSimpleFactorization:
         form = GForm.of(9, {0: J(1, 2) * J(1, 2) * J(2, 5), 1: J(1, 3) * J(3, 4)})
         calls.clear()
         gform_simple_factorization(form)
-        # the self-checks of factor_simple: J(1,2)^2 J(2,5) and J(1,3) J(3,4)
-        assert len(calls) == 5
+        # the pieces are read off the hulls; nothing multiplies them back
+        assert len(calls) == 0
 
     def test_random_roundtrip(self):
         rng = random.Random(67)

@@ -245,6 +245,16 @@ class TestErrors:
         assert "line 1, column 6: unexpected character" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_overlong_integer_exit_two(self, ideal_file):
+        path = ideal_file("ring 2 vars x,y;\nideal I = x^" + "7" * 5000 + ", y;\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-m", "gideal", "classify", path],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "line 2, column 13: an exponent of 5000 digits" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestVerifyExamples:
     def test_all_pass_text(self, capsys):

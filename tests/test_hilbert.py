@@ -147,9 +147,17 @@ class TestFactoredAssembly:
             assert hs_via_factorization(I) == h_polynomial(I)
 
     def test_multiplicity_with_cross_check(self):
-        assert multiplicity_e(THREE_PRIMES) == 11
+        e = multiplicity_e(THREE_PRIMES)
+        assert e == hs_via_factorization(THREE_PRIMES).e == 11
 
-    def test_multiplicity_builds_the_family_once(self, monkeypatch):
+    def test_multiplicity_matches_factored_formula(self):
+        # multiplicity_e reads h(1) off the power filtration alone
+        rng = random.Random(83)
+        for _ in range(40):
+            I = random_class_c(rng)
+            assert multiplicity_e(I) == hs_via_factorization(I).e, I
+
+    def test_multiplicity_builds_no_family(self, monkeypatch):
         calls = []
 
         def counting(I):
@@ -158,7 +166,8 @@ class TestFactoredAssembly:
 
         monkeypatch.setattr("gideal.classes.q_family", counting)
         assert multiplicity_e(THREE_PRIMES) == 11
-        assert calls == [THREE_PRIMES]
+        # the power filtration alone: the factored formula is a test oracle
+        assert calls == []
 
     def test_length_identity(self):
         # colength(I) - colength(M^d) splits over the factors

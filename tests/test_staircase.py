@@ -39,6 +39,15 @@ class TestStaircaseType:
         with pytest.raises(TypeError):
             Staircase((0, 2.5))
 
+    def test_steps_of_any_sequence_are_a_tuple(self):
+        for steps in ([0, 2, 3], range(0, 6, 2), iter((0, 1, 4))):
+            a = Staircase(steps)
+            assert type(a.steps) is tuple
+            assert a == Staircase(tuple(a.steps))
+            assert hash(a) == hash(Staircase(tuple(a.steps)))
+        with pytest.raises(ValueError):
+            Staircase([0, 2, 2])
+
     def test_basic_accessors(self):
         a = S(0, 2, 5)
         assert a.d == 2
@@ -226,3 +235,13 @@ class TestFactorSimple:
                 a = closure_seq(Staircase((0,) + steps))
                 sf = factor_simple(a)
                 assert sf.reconstruct() == a
+
+    def test_seeded_long_roundtrip(self):
+        # factor_simple does not multiply its pieces back; here they must
+        # rebuild every closed staircase up to length 60
+        rng = random.Random(89)
+        for k in range(320):
+            d = 1 + k % 60
+            steps = sorted(rng.sample(range(1, 4 * d + 2), d))
+            a = closure_seq(Staircase((0,) + tuple(steps)))
+            assert factor_simple(a).reconstruct() == a, a

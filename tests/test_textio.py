@@ -114,6 +114,26 @@ class TestParseErrors:
             parse_document("ring 2 vars x,y; ideal I = x^99999999999;")
         assert "too large" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("ring 2 vars x,y;\nideal I = x^" + "9" * 5000 + ", y;", (2, 13)),
+            ("ring " + "1" * 5000 + " vars x; ideal I = x;", (1, 6)),
+        ],
+        ids=["exponent", "variable count"],
+    )
+    def test_overlong_integer(self, text, position):
+        # longer than int() converts: rejected by its length, at its position
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert "5000 digits is too large" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == position
+
+    @pytest.mark.parametrize("zero", ["0", "\u0660"])
+    def test_leading_zeros_accepted(self, zero):
+        doc = parse_document("ring 2 vars x,y; ideal I = x^" + zero * 20 + "3, y;")
+        assert doc.ideal("I").gens == ((0, 1), (3, 0))
+
     def test_repeated_factors_exceeding_limit(self):
         with pytest.raises(ParseError) as exc:
             parse_document(
