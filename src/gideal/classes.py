@@ -14,15 +14,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from math import comb
 
-from .ideals import (
-    CoordinatePrime,
-    MonomialIdeal,
-    localize_power,
-    reg_dim1_saturated,
-)
+from .ideals import CoordinatePrime, MonomialIdeal, _reg_dim1, localize_power
 from .newton import is_integrally_closed, newton_closure
 from .staircases import (
     Staircase,
@@ -71,8 +65,9 @@ class QFamily:
 
     @cached_property
     def d0(self) -> int:
-        """Regularity of the first member; 0 for the all-unit family."""
-        return reg_dim1_saturated(self.members[0])[0] if self.s else 0
+        """Regularity of the first member; 0 for the all-unit family.  The
+        member is saturated of dimension 1, so it is not checked again."""
+        return _reg_dim1(self.members[0])[0] if self.s else 0
 
     @classmethod
     def of(cls, n: int, members) -> "QFamily":
@@ -176,18 +171,29 @@ def _agrees_with_saturations(I: MonomialIdeal, pairs) -> bool:
 
 def _family_in_C(I: MonomialIdeal) -> tuple[QFamily | None, str]:
     """(family of I, "") when its family reconstructs I, which given the family
-    holds exactly when I is contracted; else (None, reason)."""
-    if I.colength() is None:
+    holds exactly when I is contracted; else (None, reason).
+
+    The test is the length identity
+    colength(I) = C(d+n-1, n) + sum over j < s of HF_{R/Q_j}(d+j)
+    for I of order d.  In each degree t >= d the member Q_(t-d) contains
+    I_t, so HF_{R/I}(t) bounds HF_{R/Q_(t-d)}(t) from above, and the sums
+    agree exactly when every degree does: the degreewise test of
+    `is_contracted`, read off one colength and s Hilbert function values.
+    """
+    colength = I.colength()
+    if colength is None:
         return None, "colength is infinite"
     try:
         fam = q_family(I)
     except FamilyError as err:
         return None, str(err)
-    d = I.order
+    d, n = I.order, I.n
     if d < fam.d0:
         return None, f"order {d} is below the characteristic regularity {fam.d0}"
-    pairs = ((t, fam.q(t - d)) for t in count(d))
-    if not (I.is_unit() or _agrees_with_saturations(I, pairs)):
+    outside = comb(d + n - 1, n) + sum(
+        Q.hilbert_function(d + j) for j, Q in enumerate(fam.members)
+    )
+    if colength != outside:
         return None, "family reconstruction differs from the ideal"
     return fam, ""
 

@@ -23,13 +23,23 @@ from .classes import (
     goto_form,
     is_contracted,
 )
-from .hilbert import DEFAULT_TERM_BUDGET, format_h, h_polynomial
+from .hilbert import DEFAULT_TERM_BUDGET, BudgetError, format_h, h_polynomial
 from .ideals import MonomialIdeal
 from .newton import is_integrally_closed, newton_closure
 from .textio import IdealDocument, ParseError, format_monomial, parse_document
 from .verify import run_examples
 
 _MATH_ERRORS = (ValueError, RuntimeError, ArithmeticError, AssertionError)
+
+
+def _message(err: Exception) -> str:
+    """The error's message; a budget error names what raises the budget."""
+    if isinstance(err, BudgetError):
+        return (
+            f"h-polynomial did not stabilize within {err.budget} filtration "
+            "terms; raise the term budget with --terms or GIDEAL_BUDGET"
+        )
+    return str(err)
 
 
 def _gens(I: MonomialIdeal, names) -> list[str]:
@@ -221,7 +231,7 @@ def _run_on_document(command: str, doc: IdealDocument, budget: int | None,
         try:
             rep = handler(ideal)
         except _MATH_ERRORS as err:
-            print(f"gideal {command}: {name}: {err}", file=sys.stderr)
+            print(f"gideal {command}: {name}: {_message(err)}", file=sys.stderr)
             return 1
         per_ideal[name] = rep
         lines.extend(renderer(name, rep))
@@ -236,17 +246,18 @@ def _run_on_document(command: str, doc: IdealDocument, budget: int | None,
 
 def _run_examples(budget: int, as_json: bool) -> int:
     results = run_examples(budget)
+    details = [r.detail if r.error is None else _message(r.error) for r in results]
     report = {
         "command": "verify-examples",
         "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
+            {"name": r.name, "passed": r.passed, "detail": detail}
+            for r, detail in zip(results, details)
         ],
     }
     lines = []
-    for r in results:
+    for r, detail in zip(results, details):
         mark = "PASS" if r.passed else "FAIL"
-        suffix = f": {r.detail}" if r.detail else ""
+        suffix = f": {detail}" if detail else ""
         lines.append(f"{mark} {r.name}{suffix}")
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} examples passed")

@@ -5,6 +5,16 @@ The generating series sums to h(z)/(1-z)^n with h a polynomial; h is found
 by n-th finite differences of HF, declared stable after a window of n+2
 consecutive zeros.  The term budget caps how far the filtration is pushed.
 
+The colengths of the powers of a member of G come from its Goto form F,
+with no ideal power built: the form of I^k is F^k (`gform_product`), and an
+ideal of order d with form F has colength
+C(d+n-1, n) + sum over primes w and j of C(alpha_(w,j)+n-2, n-1), where the
+alpha_w are the prime powers of the staircase at w (`staircase_alphas`).
+The class test in front of that route is the length identity of
+`_family_in_C`: exact, and read off one colength and one Hilbert function
+value per family member, so an ideal outside C costs next to nothing there.
+Every other ideal builds its powers.
+
 The series of a power M^c of the maximal ideal needs no ideal arithmetic:
 colength(M^m) = C(m+n-1, n), so HF is a polynomial in k of degree n-1 for
 every k >= 0; h then has degree below n, and the window of n+2 zeros closes
@@ -17,7 +27,13 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 
-from .classes import factor_C
+from .classes import (
+    _family_in_C,
+    _form_of_family,
+    factor_C,
+    gform_product,
+    staircase_alphas,
+)
 from .ideals import MonomialIdeal
 
 DEFAULT_TERM_BUDGET = 16
@@ -25,6 +41,13 @@ DEFAULT_TERM_BUDGET = 16
 
 class BudgetError(RuntimeError):
     """The h-polynomial did not stabilize within the term budget."""
+
+    def __init__(self, budget: int):
+        super().__init__(
+            f"h-polynomial did not stabilize within {budget} filtration "
+            "terms; raise the term budget"
+        )
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -69,11 +92,24 @@ def _require_filterable(I: MonomialIdeal) -> None:
 
 
 def _power_colengths(I: MonomialIdeal):
-    """colength(I^k) for k = 1, 2, ...; each power is built when asked for."""
-    power = I
+    """colength(I^k) for k = 1, 2, ...: from the powers of the Goto form of
+    a member of G, else from the powers of I, each built when asked for."""
+    fam, _ = _family_in_C(I)
+    form = None if fam is None else _form_of_family(I, fam)[0]
+    if form is None:
+        power = I
+        while True:
+            yield power.colength()
+            power = power * I
+    n = I.n
+    power = form
     while True:
-        yield power.colength()
-        power = power * I
+        yield comb(power.order + n - 1, n) + sum(
+            comb(a + n - 2, n - 1)
+            for _, stair in power.components
+            for a in staircase_alphas(stair)
+        )
+        power = gform_product(power, form)
 
 
 def _h_of_colengths(n: int, colengths, budget: int) -> HilbertSeries:
@@ -98,10 +134,7 @@ def _h_of_colengths(n: int, colengths, budget: int) -> HilbertSeries:
             while coeffs[-1] == 0:
                 coeffs.pop()
             return HilbertSeries(n, tuple(coeffs))
-    raise BudgetError(
-        f"h-polynomial did not stabilize within {budget} filtration "
-        "terms; raise the term budget"
-    )
+    raise BudgetError(budget)
 
 
 def hf_filtration(I: MonomialIdeal, count: int) -> list[int]:

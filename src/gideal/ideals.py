@@ -10,10 +10,12 @@ lcms are exact at any size; every minimalization goes through `_minimal`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, inf, prod
 from operator import add, index
 
 Monomial = tuple[int, ...]
@@ -75,13 +77,15 @@ def _minimal(gens) -> tuple[Monomial, ...]:
     only possible divisor of (x, y) is the last step with first exponent <= x.
     A candidate looks up its own group and tests that step inline.  Only
     for n >= 4 are there other groups; then each one whose middle exponents
-    divide the candidate's is tested the same way.  The sweep keeps the
-    monomials in lex order, so a stable sort by degree gives (degree, lex).
+    divide the candidate's is tested the same way, and no other group is
+    visited.  The sweep keeps the monomials in lex order, so a stable sort
+    by degree gives (degree, lex).
     """
     ms = sorted(set(gens))
     if not ms or len(ms[0]) < 2:
         return tuple(ms[:1])
     groups: dict[Monomial, tuple[list[int], list[int]]] = {}
+    keys: list[Monomial] = []  # the keys of `groups`, sorted
     kept = []
     for m in ms:
         mid, x, y = m[1:-2], m[-2], m[-1]
@@ -91,11 +95,14 @@ def _minimal(gens) -> tuple[Monomial, ...]:
             i = bisect_right(xs, x)
             if i and -neg_ys[i - 1] <= y:
                 continue
-        if len(groups) > (own is not None) and _under_other_group(groups, mid, x, y):
+        if len(groups) > (own is not None) and _under_other_group(
+            groups, keys, mid, x, y
+        ):
             continue
         kept.append(m)
         if own is None:
             own = groups[mid] = ([], [])
+            insort(keys, mid)
         xs, neg_ys = own
         # drop the steps that (x, y) dominates, then insert it
         lo = bisect_right(xs, x - 1)
@@ -107,11 +114,28 @@ def _minimal(gens) -> tuple[Monomial, ...]:
 
 
 def _under_other_group(
-    groups: dict[Monomial, tuple[list[int], list[int]]], mid: Monomial, x: int, y: int
+    groups: dict[Monomial, tuple[list[int], list[int]]],
+    keys: list[Monomial],
+    mid: Monomial,
+    x: int,
+    y: int,
 ) -> bool:
-    """Whether a kept monomial outside the group `mid` divides (mid, x, y)."""
-    for key, (xs, neg_ys) in groups.items():
-        if key != mid and mono_divides(key, mid):
+    """Whether a kept monomial outside the group `mid` divides (mid, x, y).
+
+    Only a group whose key divides `mid` can hold one.  With one middle
+    exponent those keys are the sorted keys below `mid`.  With more, the
+    divisors of `mid` are looked up when there are fewer of them than
+    groups, and otherwise each group's key is tested.
+    """
+    if len(mid) == 1:
+        under = keys[: bisect_left(keys, mid)]
+    elif prod(e + 1 for e in mid) < len(groups):
+        under = [k for k in product(*(range(e + 1) for e in mid)) if k in groups]
+    else:
+        under = [k for k in groups if mono_divides(k, mid)]
+    for key in under:
+        if key != mid:
+            xs, neg_ys = groups[key]
             i = bisect_right(xs, x)
             if i and -neg_ys[i - 1] <= y:
                 return True
@@ -278,10 +302,19 @@ class MonomialIdeal:
         return _outside_total(self.gens, self.n)
 
     def hilbert_function(self, t: int) -> int:
-        """Number of degree-t monomials not in the ideal."""
+        """Number of degree-t monomials not in the ideal.
+
+        The series sum_t HF(t) z^t is K(z) / (1 - z)^n for the polynomial K
+        of `_numerator`, and 1 / (1 - z)^n has coefficients C(t+n-1, n-1).
+        """
         if t < 0:
             raise ValueError("negative degree")
-        return _outside_at_degree(self.gens, self.n, t)
+        n = self.n
+        return sum(
+            c * comb(t - k + n - 1, n - 1)
+            for k, c in _numerator(self.gens, n)
+            if k <= t
+        )
 
     # -- primes ----------------------------------------------------------
 
@@ -375,19 +408,31 @@ def _outside_total(gens: tuple[Monomial, ...], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _outside_at_degree(gens: tuple[Monomial, ...], n: int, t: int) -> int:
-    """Degree-t monomials outside the ideal, swept to x_0^t."""
-    if any(mono_deg(g) == 0 for g in gens):
-        return 0
-    if not gens:
-        return comb(t + n - 1, n - 1)
-    if n == 1:
-        return 1 if t < min(g[0] for g in gens) else 0
-    return sum(
-        _outside_at_degree(sl, n - 1, t - e)
-        for lo, hi, sl in _slices(gens, t + 1)
-        for e in range(lo, hi)
-    )
+def _numerator(gens: tuple[Monomial, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """(t, coefficient) pairs of K(z) = (1 - z)^n * sum_t HF(t) z^t, for
+    minimal gens.
+
+    In one or two variables the generators in lex order resolve the ideal
+    with the lcms of neighbours as syzygies, so
+    K = 1 - sum z^deg(g) + sum z^deg(lcm).  From three on, x_0^e * m lies
+    outside exactly when m lies outside the slice at e, so a slice holding
+    on [lo, hi) adds its own series times (z^lo - z^hi) / (1 - z).
+    """
+    out: Counter[int] = Counter()
+    if n <= 2:
+        s = sorted(gens)
+        out[0] += 1
+        for a in s:
+            out[sum(a)] -= 1
+        for a, b in zip(s, s[1:]):
+            out[b[0] + a[1]] += 1
+    else:
+        for lo, hi, sl in _slices(gens, inf):
+            for t, c in _numerator(sl, n - 1):
+                out[t + lo] += c
+                if hi < inf:
+                    out[t + hi] -= c
+    return tuple(sorted((t, c) for t, c in out.items() if c))
 
 
 # -- localization and regularity ------------------------------------------
@@ -424,12 +469,15 @@ def reg_dim1_saturated(Q: MonomialIdeal) -> tuple[int, int]:
         raise ValueError("ideal is not saturated")
     if Q.dimension() != 1:
         raise ValueError("quotient does not have dimension 1")
+    return _reg_dim1(Q)
+
+
+def _reg_dim1(Q: MonomialIdeal) -> tuple[int, int]:
+    """`reg_dim1_saturated` of a Q known to be saturated of dimension 1."""
     prev = 0
-    t = 0
-    while t < 10_000:
+    for t in range(10_000):
         cur = Q.hilbert_function(t)
         if cur == prev:
             return t, cur
         prev = cur
-        t += 1
     raise RuntimeError("Hilbert function failed to stabilise")

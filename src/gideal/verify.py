@@ -9,7 +9,7 @@ are not integrally closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .classes import factor_C, is_contracted, is_in_C, is_in_D, mu_class_check, q_family
@@ -24,6 +24,7 @@ class ExampleResult:
     name: str
     passed: bool
     detail: str = ""
+    error: Exception | None = field(default=None, compare=False, repr=False)
 
 
 def _ensure(cond: bool, message: str) -> None:
@@ -144,7 +145,7 @@ def run_examples(budget: int = DEFAULT_TERM_BUDGET) -> list[ExampleResult]:
         try:
             check()
         except Exception as err:  # noqa: BLE001 - report, do not crash
-            results.append(ExampleResult(name, False, str(err)))
+            results.append(ExampleResult(name, False, str(err), err))
         else:
             results.append(ExampleResult(name, True))
     return results

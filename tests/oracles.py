@@ -34,6 +34,11 @@ the package imports this module.
   localization read in n - 1 variables, and Goto forms that also check
   each member against the meet of its prime powers, against the
   saturation at the omitted variable and the meet-free `goto_form`.
+- `power_colengths_by_products` and `h_polynomial_by_filtration`: the
+  colengths of I, I^2, ... from the ideal powers themselves, and the
+  h-polynomial read off them, against `hf_filtration` and `h_polynomial`,
+  which take the colengths of the powers of a member of G from the powers
+  of its Goto form.
 
 The package computes each answer once.  Where a shipped function already
 inverts another, the tests use it as the second route: `factor_simple`
@@ -63,6 +68,7 @@ from gideal import (
     newton_closure,
 )
 from gideal.classes import FamilyError, _omitted_variables
+from gideal.hilbert import DEFAULT_TERM_BUDGET, HilbertSeries, _h_of_colengths
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
 from gideal.newton import NewtonMembership
 
@@ -415,3 +421,21 @@ def form_of_family_by_meet(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None
     if gform_to_monomial(form, n) != I:
         raise RuntimeError("Goto form failed to reconstruct the ideal")
     return form, ""
+
+
+def power_colengths_by_products(I: MonomialIdeal):
+    """colength(I^k) for k = 1, 2, ..., each power the product of the last
+    one with I."""
+    power = I
+    while True:
+        yield power.colength()
+        power = power * I
+
+
+def h_polynomial_by_filtration(
+    I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET
+) -> HilbertSeries:
+    """`h_polynomial` from the colengths of the ideal powers."""
+    if I.is_zero() or I.is_unit() or I.colength() is None:
+        raise ValueError("power filtration needs a proper finite-colength ideal")
+    return _h_of_colengths(I.n, power_colengths_by_products(I), budget)

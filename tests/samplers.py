@@ -20,7 +20,7 @@ from gideal import (
     closure_seq,
     gform_to_monomial,
     ideal_of_family,
-    reg_dim1_saturated,
+    staircase_alphas,
 )
 
 
@@ -79,7 +79,7 @@ def random_class_c(rng: random.Random, max_order: int = 3,
                 Q = Q & p
             members.append(Q)
         fam = QFamily.of(3, members)
-        d0 = reg_dim1_saturated(fam.members[0])[0]
+        d0 = fam.d0
         if d0 > max_order:
             continue
         k = rng.randint(0, max_order - d0)
@@ -103,12 +103,38 @@ def random_gstar(rng: random.Random, max_order: int = 3):
         Q0 = MonomialIdeal.unit(3)
         for w, stair in mapping.items():
             Q0 = Q0 & CoordinatePrime(w).power(3, stair.d)
-        d0 = reg_dim1_saturated(Q0)[0]
+        d0 = QFamily(3, (Q0,)).d0
         if d0 > max_order:
             continue
         order = rng.randint(d0, max_order)
         form = GForm.of(order, mapping)
         return gform_to_monomial(form, 3), form
+
+
+def random_staircase(rng: random.Random, max_d: int = 3,
+                     max_gap: int = 3) -> Staircase:
+    """Staircase of length 1..max_d with steps 1..max_gap: closed or not."""
+    steps = [0]
+    for _ in range(rng.randint(1, max_d)):
+        steps.append(steps[-1] + rng.randint(1, max_gap))
+    return Staircase(tuple(steps))
+
+
+def random_form(rng: random.Random, n: int, max_order: int = 3):
+    """Realizable Goto form in n variables whose staircases need not be
+    closed, at an order from its first member's regularity to max_order;
+    returns (ideal, form)."""
+    while True:
+        ws = rng.sample(range(n), rng.randint(1, n))
+        mapping = {w: random_staircase(rng) for w in ws}
+        Q0 = MonomialIdeal.unit(n)
+        for w, stair in GForm.of(0, mapping).components:
+            Q0 = Q0 & CoordinatePrime(w).power(n, staircase_alphas(stair)[0])
+        d0 = QFamily(n, (Q0,)).d0 if not Q0.is_unit() else 0
+        if d0 > max_order:
+            continue
+        form = GForm.of(rng.randint(max(d0, 1), max_order), mapping)
+        return gform_to_monomial(form, n), form
 
 
 def random_monomial(rng: random.Random, n: int, max_deg: int):

@@ -269,8 +269,8 @@ def test_factor_checks_members_without_products(monkeypatch):
 def test_C_test_saturates_once_per_family_fact(monkeypatch):
     calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
     assert is_in_C(ladder(100))
-    # two family members and the saturation check of the regularity
-    assert len(calls) <= 3
+    # two family members; the regularity of a member is not checked again
+    assert len(calls) <= 2
 
 
 def test_classify_reuses_the_contractedness_of_C(monkeypatch):
@@ -288,17 +288,16 @@ def test_classify_reuses_the_contractedness_of_C(monkeypatch):
 def test_factor_saturates_no_local_member(monkeypatch):
     calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
     assert len(factor_C(ladder(100)).factors) == 3
-    # two family members and the regularity checks of the family and of the
-    # three local families, whose members are saturated by construction
-    assert len(calls) <= 6
+    # two family members; the regularities of the family and of the three
+    # local families, whose members are saturated by construction, check none
+    assert len(calls) <= 2
 
 
 def test_goto_form_saturates_no_realized_member(monkeypatch):
     calls = count_calls(monkeypatch, MonomialIdeal, "saturate")
     assert goto_form(ladder(100))[0] is not None
-    # two family members and the regularity checks of the family and of its
-    # realization, whose members are meets of prime powers
-    assert len(calls) <= 4
+    # two family members; the regularity of the family checks none
+    assert len(calls) <= 2
 
 
 def test_family_checks_each_distinct_member_once(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from gideal.classes import q_family
 from gideal.cli import main
-from gideal.hilbert import h_polynomial
+from gideal.hilbert import BudgetError, h_polynomial
 from gideal.textio import parse_document
 
 THREE_PRIMES = "ring 3 vars x,y,z; ideal I = x^3,y^3,z^3,x*y,y*z,x*z;\n"
@@ -177,6 +177,24 @@ class TestHilbert:
         code = main(["hilbert", "--terms", "2", ideal_file(THREE_PRIMES)])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_message_names_the_flag(self, ideal_file, capsys,
+                                           monkeypatch):
+        # the library names no flag; the CLI names both ways to raise it
+        with pytest.raises(BudgetError, match="; raise the term budget$"):
+            h_polynomial(parse_document(THREE_PRIMES).ideal("I"), 2)
+        hint = ("within 2 filtration terms; "
+                "raise the term budget with --terms or GIDEAL_BUDGET")
+        assert main(["hilbert", "--terms", "2", ideal_file(THREE_PRIMES)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"gideal hilbert: I: h-polynomial did not stabilize {hint}\n"
+        monkeypatch.setenv("GIDEAL_BUDGET", "2")
+        assert main(["verify-examples", "--json"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [set(r) for r in results] == [{"detail", "name", "passed"}] * 7
+        failed = [r for r in results if not r["passed"]]
+        assert [r["name"] for r in failed] == ["three-primes-pipeline"]
+        assert failed[0]["detail"].endswith(hint)
 
     def test_env_budget(self, ideal_file, capsys, monkeypatch):
         monkeypatch.setenv("GIDEAL_BUDGET", "2")

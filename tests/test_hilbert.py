@@ -2,25 +2,32 @@
 assembly formulas."""
 
 import random
+from itertools import islice
 from math import comb
 
 import pytest
 
+import gideal.classes
+import gideal.hilbert
 from gideal import (
     BudgetError,
     HilbertSeries,
     MonomialIdeal,
     factor_C,
+    gform_closure,
     h_degree_check,
     h_polynomial,
     hf_filtration,
     hs_via_factorization,
+    is_in_C,
+    is_in_G,
     multiplicity_e,
     q_family,
     reg_dim1_saturated,
 )
 from gideal.hilbert import _series_of_max_power
-from samplers import random_class_c, random_gstar
+from oracles import h_polynomial_by_filtration, power_colengths_by_products
+from samplers import random_class_c, random_form, random_gstar
 
 
 def I3(*gens):
@@ -30,6 +37,20 @@ def I3(*gens):
 THREE_PRIMES = I3(
     (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)
 )
+# not contracted, so outside C and G: its h-polynomial needs the powers
+CUBES_AND_XYZ = I3((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def colength_by_counting(I: MonomialIdeal) -> int:
@@ -115,6 +136,24 @@ class TestHPolynomial:
         # powers I, I^2, ..., I^(budget+1): I itself needs no product
         assert len(calls) <= budget
 
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_budget_bounds_powers_built_outside_G(self, budget, monkeypatch):
+        assert not is_in_C(CUBES_AND_XYZ)
+        calls = count_calls(monkeypatch, MonomialIdeal, "__mul__")
+        with pytest.raises(BudgetError):
+            h_polynomial(CUBES_AND_XYZ, budget=budget)
+        # powers I, I^2, ..., I^(budget+1): I itself needs no product
+        assert len(calls) == budget
+
+    def test_class_test_reads_no_hilbert_function_outside_C(self, monkeypatch):
+        # the family of a parameter ideal is empty, so the length identity
+        # compares two colengths; the degreewise test would count the
+        # monomials of degree 2000
+        calls = count_calls(monkeypatch, MonomialIdeal, "hilbert_function")
+        I = I3((2000, 0, 0), (0, 2000, 0), (0, 0, 2000))
+        assert h_polynomial(I) == HilbertSeries(3, (2000**3,))
+        assert calls == []
+
     def test_h0_is_colength(self):
         rng = random.Random(71)
         for _ in range(6):
@@ -126,9 +165,62 @@ class TestMaxPowerSeries:
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_form_matches_filtration(self, n, c):
-        assert _series_of_max_power(n, c) == h_polynomial(
-            MonomialIdeal.max_power(n, c)
-        )
+        M = MonomialIdeal.max_power(n, c)
+        assert _series_of_max_power(n, c) == h_polynomial_by_filtration(M)
+        assert h_polynomial(M) == _series_of_max_power(n, c)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetError as err:
+        return "BudgetError", str(err)
+
+
+def members_of_G() -> list[MonomialIdeal]:
+    """THREE_PRIMES, powers of the maximal ideal, G* ideals and Goto forms
+    with staircases that need not be closed, in two to four variables."""
+    rng = random.Random(607)
+    out = [THREE_PRIMES]
+    out += [MonomialIdeal.max_power(n, c) for n in (2, 3, 4) for c in (1, 2, 3)]
+    out += [random_gstar(rng)[0] for _ in range(30)]
+    for n, count, max_order in ((2, 50, 4), (3, 50, 3), (4, 20, 2)):
+        out += [random_form(rng, n, max_order)[0] for _ in range(count)]
+    return out
+
+
+class TestFormRoute:
+    """h and the filtration of members of G come from the powers of their
+    Goto form; the oracle builds the ideal powers."""
+
+    @staticmethod
+    def assert_matches_oracle(I):
+        for budget in (3, 16):
+            assert outcome(h_polynomial, I, budget) == outcome(
+                h_polynomial_by_filtration, I, budget
+            ), (I, budget)
+        colengths = list(islice(power_colengths_by_products(I), 6))
+        assert hf_filtration(I, 6) == [
+            cur - prev for prev, cur in zip([0] + colengths, colengths)
+        ], I
+
+    def test_matches_filtration_on_members_of_G(self):
+        members = members_of_G()
+        assert len(members) >= 150
+        forms = [is_in_G(I) for I in members]
+        assert None not in forms
+        assert sum(gform_closure(form) != form for form in forms) >= 10
+        for I in members:
+            self.assert_matches_oracle(I)
+
+    def test_matches_filtration_on_criterion_6_samples(self):
+        rng = random.Random(601)
+        in_G = 0
+        for _ in range(20):
+            I = random_class_c(rng)
+            in_G += is_in_G(I) is not None
+            self.assert_matches_oracle(I)
+        assert 0 < in_G < 20
 
 
 class TestFactoredAssembly:
@@ -157,17 +249,13 @@ class TestFactoredAssembly:
             I = random_class_c(rng)
             assert multiplicity_e(I) == hs_via_factorization(I).e, I
 
-    def test_multiplicity_builds_no_family(self, monkeypatch):
-        calls = []
-
-        def counting(I):
-            calls.append(I)
-            return q_family(I)
-
-        monkeypatch.setattr("gideal.classes.q_family", counting)
+    def test_multiplicity_builds_the_family_once_and_no_product(self, monkeypatch):
+        families = count_calls(monkeypatch, gideal.hilbert, "_family_in_C")
+        built = count_calls(monkeypatch, gideal.classes, "q_family")
+        products = count_calls(monkeypatch, MonomialIdeal, "__mul__")
         assert multiplicity_e(THREE_PRIMES) == 11
-        # the power filtration alone: the factored formula is a test oracle
-        assert calls == []
+        # one class test, then the powers of the Goto form: no ideal power
+        assert (len(families), len(built), products) == (1, 1, [])
 
     def test_length_identity(self):
         # colength(I) - colength(M^d) splits over the factors

@@ -117,6 +117,22 @@ class TestMinimal:
                 rng.shuffle(gens)
                 assert _minimal(gens) == pairwise_minimal(gens)
 
+    def test_four_variables_visit_only_dividing_groups(self, monkeypatch):
+        # with one middle exponent e the groups that can hold a divisor are
+        # the keys below e, a prefix of the sorted keys: no key is tested
+        def refuse(a, b):
+            raise AssertionError("divisibility test of a group key at n = 4")
+
+        rng = random.Random(43)
+        pairs = [(random_finite_ideal(rng, 4), random_small_ideal(rng, 4))
+                 for _ in range(20)]
+        M2, M3 = MonomialIdeal.max_power(4, 2), MonomialIdeal.max_power(4, 3)
+        monkeypatch.setattr(ideals, "mono_divides", refuse)
+        assert (M2 * M3).gens == monomials_of_degree(4, 5)
+        for I, J in pairs:
+            assert not (I * J).is_zero()
+            assert not (I & J).is_zero()
+
     def test_three_variables_skip_the_cross_group_scan(self, monkeypatch):
         # below four variables every monomial has the same (empty) middle
         # exponents, so a candidate is tested against its own staircase only
@@ -249,11 +265,10 @@ class TestCounting:
                 assert I.colength() == total
 
     def test_colength_minimalizes_each_generator_once_per_level(self, monkeypatch):
-        # in two variables the colength is the staircase area and minimalizes
-        # nothing; the Hilbert function still sweeps the slices, and every
-        # slice of M^d is one monomial, so a sweep that grows each slice from
-        # the previous one minimalizes about 2d monomials, where rebuilding
-        # each slice from all generators takes d(d+1)/2
+        # in two variables the colength is the staircase area and the
+        # Hilbert function reads the lcms of neighbouring generators, so
+        # neither minimalizes anything; a sweep over the slices of M^d that
+        # rebuilt each slice from all generators would take d(d+1)/2
         sizes = []
 
         def counting(gens):
@@ -262,7 +277,7 @@ class TestCounting:
             return _minimal(gens)
 
         ideals._outside_total.cache_clear()
-        ideals._outside_at_degree.cache_clear()
+        ideals._numerator.cache_clear()
         monkeypatch.setattr(ideals, "_minimal", counting)
         M60 = MonomialIdeal.max_power(2, 60)
         assert M60.colength() == 1830
