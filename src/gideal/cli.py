@@ -35,10 +35,7 @@ _MATH_ERRORS = (ValueError, RuntimeError, ArithmeticError, AssertionError)
 def _message(err: Exception) -> str:
     """The error's message; a budget error names what raises the budget."""
     if isinstance(err, BudgetError):
-        return (
-            f"h-polynomial did not stabilize within {err.budget} filtration "
-            "terms; raise the term budget with --terms or GIDEAL_BUDGET"
-        )
+        return f"{err} with --terms or GIDEAL_BUDGET"
     return str(err)
 
 

@@ -42,13 +42,6 @@ DEFAULT_TERM_BUDGET = 16
 class BudgetError(RuntimeError):
     """The h-polynomial did not stabilize within the term budget."""
 
-    def __init__(self, budget: int):
-        super().__init__(
-            f"h-polynomial did not stabilize within {budget} filtration "
-            "terms; raise the term budget"
-        )
-        self.budget = budget
-
 
 @dataclass(frozen=True)
 class HilbertSeries:
@@ -134,7 +127,10 @@ def _h_of_colengths(n: int, colengths, budget: int) -> HilbertSeries:
             while coeffs[-1] == 0:
                 coeffs.pop()
             return HilbertSeries(n, tuple(coeffs))
-    raise BudgetError(budget)
+    raise BudgetError(
+        f"h-polynomial did not stabilize within {budget} filtration "
+        "terms; raise the term budget"
+    )
 
 
 def hf_filtration(I: MonomialIdeal, count: int) -> list[int]:

@@ -14,8 +14,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import comb, inf, prod
+from math import comb
 from operator import add, index
 
 Monomial = tuple[int, ...]
@@ -77,15 +76,17 @@ def _minimal(gens) -> tuple[Monomial, ...]:
     only possible divisor of (x, y) is the last step with first exponent <= x.
     A candidate looks up its own group and tests that step inline.  Only
     for n >= 4 are there other groups; then each one whose middle exponents
-    divide the candidate's is tested the same way, and no other group is
-    visited.  The sweep keeps the monomials in lex order, so a stable sort
-    by degree gives (degree, lex).
+    divide the candidate's is tested the same way.  At n = 4 the keys are
+    kept sorted, so those are the keys below the candidate's and no other
+    group is visited.  The sweep keeps the monomials in lex order, so a
+    stable sort by degree gives (degree, lex).
     """
     ms = sorted(set(gens))
     if not ms or len(ms[0]) < 2:
         return tuple(ms[:1])
     groups: dict[Monomial, tuple[list[int], list[int]]] = {}
-    keys: list[Monomial] = []  # the keys of `groups`, sorted
+    # at n = 4, the keys of `groups` in sorted order
+    keys: list[Monomial] | None = [] if len(ms[0]) == 4 else None
     kept = []
     for m in ms:
         mid, x, y = m[1:-2], m[-2], m[-1]
@@ -102,7 +103,8 @@ def _minimal(gens) -> tuple[Monomial, ...]:
         kept.append(m)
         if own is None:
             own = groups[mid] = ([], [])
-            insort(keys, mid)
+            if keys is not None:
+                insort(keys, mid)
         xs, neg_ys = own
         # drop the steps that (x, y) dominates, then insert it
         lo = bisect_right(xs, x - 1)
@@ -115,7 +117,7 @@ def _minimal(gens) -> tuple[Monomial, ...]:
 
 def _under_other_group(
     groups: dict[Monomial, tuple[list[int], list[int]]],
-    keys: list[Monomial],
+    keys: list[Monomial] | None,
     mid: Monomial,
     x: int,
     y: int,
@@ -123,22 +125,18 @@ def _under_other_group(
     """Whether a kept monomial outside the group `mid` divides (mid, x, y).
 
     Only a group whose key divides `mid` can hold one.  With one middle
-    exponent those keys are the sorted keys below `mid`.  With more, the
-    divisors of `mid` are looked up when there are fewer of them than
-    groups, and otherwise each group's key is tested.
+    exponent, given the sorted `keys`, those are the keys below `mid`;
+    otherwise each group's key is tested.
     """
-    if len(mid) == 1:
+    if keys is not None:
         under = keys[: bisect_left(keys, mid)]
-    elif prod(e + 1 for e in mid) < len(groups):
-        under = [k for k in product(*(range(e + 1) for e in mid)) if k in groups]
     else:
-        under = [k for k in groups if mono_divides(k, mid)]
+        under = [k for k in groups if k != mid and mono_divides(k, mid)]
     for key in under:
-        if key != mid:
-            xs, neg_ys = groups[key]
-            i = bisect_right(xs, x)
-            if i and -neg_ys[i - 1] <= y:
-                return True
+        xs, neg_ys = groups[key]
+        i = bisect_right(xs, x)
+        if i and -neg_ys[i - 1] <= y:
+            return True
     return False
 
 
@@ -291,7 +289,10 @@ class MonomialIdeal:
         The colength is finite exactly when every variable has a pure power
         among the generators.  A minimal generating set holds at most one
         pure power per variable, so that is one pass: exactly n generators
-        have n - 1 zero exponents.
+        have n - 1 zero exponents.  Then the series K(z) / (1 - z)^n of
+        `_numerator` is a polynomial P(z), and the colength is P(1).  As
+        K = P * (1 - z)^n, the n-th derivative gives
+        P(1) = (-1)^n * sum_k K_k * C(k, n).
         """
         if self.is_zero():
             return None
@@ -299,7 +300,8 @@ class MonomialIdeal:
             return 0
         if [g.count(0) for g in self.gens].count(self.n - 1) != self.n:
             return None
-        return _outside_total(self.gens, self.n)
+        n = self.n
+        return (-1) ** n * sum(c * comb(k, n) for k, c in _numerator(self.gens, n))
 
     def hilbert_function(self, t: int) -> int:
         """Number of degree-t monomials not in the ideal.
@@ -365,46 +367,6 @@ class CoordinatePrime:
 
 
 # -- staircase counting (one sweep over the first exponent) ---------------
-# x_0^e * m lies outside the ideal exactly when m lies outside the slice at e,
-# the ideal generated by the tails of the generators with first exponent <= e.
-
-
-def _slices(gens: tuple[Monomial, ...], top: int):
-    """Yield (lo, hi, slice) for each cut lo < top of the first exponent.
-
-    The slice holds on [lo, hi): the previous slice plus the tails at lo.
-    """
-    levels: dict[int, list[Monomial]] = {0: []}
-    for g in gens:
-        if g[0] < top:
-            levels.setdefault(g[0], []).append(g[1:])
-    cuts = sorted(levels)
-    sl = ()
-    for lo, hi in zip(cuts, cuts[1:] + [top]):
-        sl = _minimal(sl + tuple(levels[lo]))
-        yield lo, hi, sl
-
-
-@lru_cache(maxsize=None)
-def _outside_total(gens: tuple[Monomial, ...], n: int) -> int:
-    """Monomials outside a proper finite-colength ideal, given minimally.
-
-    Only the pure power of x_0 reaches the largest first exponent: any other
-    generator reaching it would be its multiple.  So the sweep over the first
-    exponent stops there, and in one variable that exponent is the count.
-    In two variables the outside set is the staircase area: over the
-    lex-consecutive generators a, b, the columns a[0] <= e < b[0] each hold
-    a[1] outside monomials.  From three variables on, each slice is counted
-    in one variable fewer.
-    """
-    top = max(gens)[0]
-    if n == 1:
-        return top
-    if n == 2:
-        s = sorted(gens)
-        return sum((b[0] - a[0]) * a[1] for a, b in zip(s, s[1:]))
-    slices = _slices(gens, top)
-    return sum((hi - lo) * _outside_total(sl, n - 1) for lo, hi, sl in slices)
 
 
 @lru_cache(maxsize=None)
@@ -427,10 +389,18 @@ def _numerator(gens: tuple[Monomial, ...], n: int) -> tuple[tuple[int, int], ...
         for a, b in zip(s, s[1:]):
             out[b[0] + a[1]] += 1
     else:
-        for lo, hi, sl in _slices(gens, inf):
+        # the slice at e is generated by the tails of the generators with
+        # first exponent <= e: the previous slice plus the tails at e
+        levels: dict[int, list[Monomial]] = {0: []}
+        for g in gens:
+            levels.setdefault(g[0], []).append(g[1:])
+        cuts = sorted(levels)
+        sl = ()
+        for lo, hi in zip(cuts, cuts[1:] + [None]):
+            sl = _minimal(sl + tuple(levels[lo]))
             for t, c in _numerator(sl, n - 1):
                 out[t + lo] += c
-                if hi < inf:
+                if hi is not None:
                     out[t + hi] -= c
     return tuple(sorted((t, c) for t, c in out.items() if c))
 

@@ -31,6 +31,7 @@ from gideal import (
 from gideal.classes import _family_in_C
 from gideal.cli import _classify_ideal
 
+from counting import count_calls
 from oracles import (
     component_by_lcm,
     factor_C_by_compositions,
@@ -95,18 +96,6 @@ def family_or_error(fn, I):
         return "members", fn(I).members
     except FamilyError as err:
         return "FamilyError", err.j, str(err)
-
-
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 def test_sample_counts():

@@ -26,6 +26,7 @@ from gideal import (
     reg_dim1_saturated,
 )
 from gideal.hilbert import _series_of_max_power
+from counting import count_calls
 from oracles import h_polynomial_by_filtration, power_colengths_by_products
 from samplers import random_class_c, random_form, random_gstar
 
@@ -39,18 +40,6 @@ THREE_PRIMES = I3(
 )
 # not contracted, so outside C and G: its h-polynomial needs the powers
 CUBES_AND_XYZ = I3((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
-
-
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 def colength_by_counting(I: MonomialIdeal) -> int:

@@ -142,7 +142,7 @@ class TestMinimal:
         rng = random.Random(37)
         pairs = [(random_finite_ideal(rng, 3), random_small_ideal(rng, 3))
                  for _ in range(30)]
-        ideals._outside_total.cache_clear()
+        ideals._numerator.cache_clear()
         monkeypatch.setattr(ideals, "mono_divides", refuse)
         for I, J in pairs:
             assert not (I * J).is_zero()
@@ -265,10 +265,10 @@ class TestCounting:
                 assert I.colength() == total
 
     def test_colength_minimalizes_each_generator_once_per_level(self, monkeypatch):
-        # in two variables the colength is the staircase area and the
-        # Hilbert function reads the lcms of neighbouring generators, so
-        # neither minimalizes anything; a sweep over the slices of M^d that
-        # rebuilt each slice from all generators would take d(d+1)/2
+        # in two variables the colength and the Hilbert function are read
+        # off the generators and the lcms of neighbouring ones, so neither
+        # minimalizes anything; a sweep over the slices of M^d that rebuilt
+        # each slice from all generators would take d(d+1)/2
         sizes = []
 
         def counting(gens):
@@ -276,7 +276,6 @@ class TestCounting:
             sizes.append(len(gens))
             return _minimal(gens)
 
-        ideals._outside_total.cache_clear()
         ideals._numerator.cache_clear()
         monkeypatch.setattr(ideals, "_minimal", counting)
         M60 = MonomialIdeal.max_power(2, 60)
@@ -288,7 +287,7 @@ class TestCounting:
         self, monkeypatch
     ):
         # the slices of M^d in three variables are the powers of the maximal
-        # ideal of two, counted by their staircase area; growing each slice
+        # ideal of two, each read off its numerator; growing each slice
         # from the previous one minimalizes fewer than 2(d+1)^2 monomials,
         # where rebuilding each from all tails takes about d^3/3
         sizes = []
@@ -298,7 +297,7 @@ class TestCounting:
             sizes.append(len(gens))
             return _minimal(gens)
 
-        ideals._outside_total.cache_clear()
+        ideals._numerator.cache_clear()
         monkeypatch.setattr(ideals, "_minimal", counting)
         assert MonomialIdeal.max_power(3, 30).colength() == 4960
         assert sum(sizes) <= 2 * 31**2
