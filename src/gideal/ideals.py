@@ -252,20 +252,7 @@ class MonomialIdeal:
                 base = base * base
         return result
 
-    # -- components and saturation --------------------------------------
-
-    def component(self, j: int) -> "MonomialIdeal":
-        """The ideal generated by all degree-j monomials of the ideal: the
-        degree-j multiples of its generators, minimal as they share a degree."""
-        if j < 0:
-            raise ValueError("negative degree")
-        multiples = {
-            tuple(map(add, g, m))
-            for g in self.gens
-            if mono_deg(g) <= j
-            for m in monomials_of_degree(self.n, j - mono_deg(g))
-        }
-        return MonomialIdeal(self.n, tuple(sorted(multiples)))
+    # -- saturation ------------------------------------------------------
 
     def saturate_var(self, i: int) -> "MonomialIdeal":
         """The colon ideal I : x_i^infinity (x_i-exponents zeroed out)."""
@@ -412,8 +399,9 @@ def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     """Power a with Q R_P ∩ R = P^a, or None when not a prime power.
 
     The localization of a monomial ideal at a coordinate prime P, contracted
-    back to R, is its saturation at the omitted variable; it is a power of P
-    exactly when it holds every monomial of its order in the other variables.
+    back to R, is its saturation at the omitted variable, generated in the
+    other n - 1 variables: it is P^a exactly when all its generators have
+    degree a and there are C(a+n-2, n-2) of them, every such monomial.
     """
     if Q.n < 2:
         raise ValueError("localization needs at least two variables")
@@ -423,8 +411,9 @@ def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     if not 0 <= w < Q.n:
         raise ValueError(f"omitted index {w} out of range")
     loc = Q.saturate_var(w)
-    if loc == prime.power(Q.n, loc.order):
-        return loc.order
+    a = loc.order
+    if loc.max_degree == a and loc.mu == comb(a + Q.n - 2, Q.n - 2):
+        return a
     return None
 
 
@@ -443,11 +432,13 @@ def reg_dim1_saturated(Q: MonomialIdeal) -> tuple[int, int]:
 
 
 def _reg_dim1(Q: MonomialIdeal) -> tuple[int, int]:
-    """`reg_dim1_saturated` of a Q known to be saturated of dimension 1."""
-    prev = 0
-    for t in range(10_000):
-        cur = Q.hilbert_function(t)
-        if cur == prev:
-            return t, cur
-        prev = cur
-    raise RuntimeError("Hilbert function failed to stabilise")
+    """`reg_dim1_saturated` of a Q known to be saturated of dimension 1.
+
+    R/Q is then Cohen-Macaulay, so P = K / (1 - z)^(n-1) for K of
+    `_numerator` is its h-vector, with HF(t) = P_0 + ... + P_t and no
+    internal zeros (Macaulay).  So HF first stops growing at deg P + 1 =
+    deg K - n + 2, at P(1) = (-1)^(n-1) * sum_k K_k * C(k, n-1).
+    """
+    n = Q.n
+    K = _numerator(Q.gens, n)
+    return K[-1][0] - n + 2, (-1) ** (n - 1) * sum(c * comb(k, n - 1) for k, c in K)

@@ -18,22 +18,30 @@ the package imports this module.
   pure powers, against the sliced `MonomialIdeal.colength`.
 - `max_convex_cover_fractions`: the simplex over `Fraction` entries,
   against the fraction-free integer tableau of `lp.max_convex_cover`.
-- `component_by_lcm`: the degree-j component ideal as the generators of
-  degree at most j intersected with M^j, against `MonomialIdeal.component`,
-  which lists every degree-j multiple of every generator.
+- `component_by_listing` and `component_by_lcm`: the degree-j component
+  ideal as every degree-j multiple of every generator, and as the
+  generators of degree at most j intersected with M^j.  The package lists
+  no component: its class layer saturates the generators of degree at
+  most j, which the second route shows to be the same ideal.
 - `q_family_by_listing`, `ideal_of_family_by_listing`,
   `is_contracted_by_listing`, `family_in_C_by_listing` and
   `factor_C_by_compositions`: the class layer built on the component
-  ideals listed by `MonomialIdeal.component`, with the families checked
-  by the validating `QFamily.of` and member j recovered as the saturated
-  sum of the local products over every composition of j
+  ideals of `component_by_listing`, with the families checked by the
+  validating `QFamily.of` and member j recovered as the saturated sum of
+  the local products over every composition of j
   (`recovered_by_compositions`), against the saturations by generator
   degree, the contractedness test of C and the intersection of the local
   members in `gideal.classes`.
-- `localize_power_by_projection` and `form_of_family_by_meet`: the
-  localization read in n - 1 variables, and Goto forms that also check
-  each member against the meet of its prime powers, against the
-  saturation at the omitted variable and the meet-free `goto_form`.
+- `localize_power_by_projection`, `localize_power_by_listing` and
+  `form_of_family_by_meet`: the localization read in n - 1 variables, the
+  localization compared with the listed prime power of its order, and
+  Goto forms that also check each member against the meet of its prime
+  powers, against the generator count of `localize_power` and the
+  meet-free `goto_form`.
+- `reg_dim1_by_probing`: the regularity and multiplicity of a saturated
+  one-dimensional ideal by probing its Hilbert function degree by degree
+  until it stops growing, against `reg_dim1_saturated`, which reads both
+  off the numerator of its Hilbert series.
 - `power_colengths_by_products` and `h_polynomial_by_filtration`: the
   colengths of I, I^2, ... from the ideal powers themselves, and the
   h-polynomial read off them, against `hf_filtration` and `h_polynomial`,
@@ -54,6 +62,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 from math import comb
+from operator import add
 
 from gideal import (
     CFactorization,
@@ -248,6 +257,20 @@ def max_convex_cover_fractions(
     return tab[n][width - 1], tuple(tab[n][m:m + n])
 
 
+def component_by_listing(I: MonomialIdeal, j: int) -> MonomialIdeal:
+    """The ideal generated by all degree-j monomials of the ideal: the
+    degree-j multiples of its generators, minimal as they share a degree."""
+    if j < 0:
+        raise ValueError("negative degree")
+    multiples = {
+        tuple(map(add, g, m))
+        for g in I.gens
+        if mono_deg(g) <= j
+        for m in monomials_of_degree(I.n, j - mono_deg(g))
+    }
+    return MonomialIdeal(I.n, tuple(sorted(multiples)))
+
+
 def component_by_lcm(I: MonomialIdeal, j: int) -> MonomialIdeal:
     """The degree-j component ideal: the generators of degree at most j,
     intersected with M^j through their pairwise lcms."""
@@ -265,7 +288,7 @@ def q_family_by_listing(I: MonomialIdeal) -> QFamily:
     d = I.order
     members = []
     for j in count():
-        Q = I.component(d + j).saturate()
+        Q = component_by_listing(I, d + j).saturate()
         if Q.is_unit():
             return QFamily.of(I.n, members)
         members.append(Q)
@@ -277,7 +300,7 @@ def ideal_of_family_by_listing(fam: QFamily, k: int) -> MonomialIdeal:
         raise ValueError("negative offset")
     out = MonomialIdeal.zero(fam.n)
     for j in range(fam.s + 1):
-        out = out + fam.q(j).component(fam.d0 + k + j)
+        out = out + component_by_listing(fam.q(j), fam.d0 + k + j)
     return out
 
 
@@ -289,7 +312,7 @@ def is_contracted_by_listing(I: MonomialIdeal) -> bool:
         raise ValueError("contractedness needs a nonzero proper ideal")
     degs = sorted({sum(g) for g in I.gens})
     for k, dk in enumerate(degs):
-        comp = I.component(dk)
+        comp = component_by_listing(I, dk)
         T = comp.saturate()
         if k + 1 < len(degs):
             for j in range(dk, degs[k + 1]):
@@ -388,6 +411,26 @@ def localize_power_by_projection(
     return None
 
 
+def localize_power_by_listing(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
+    """`localize_power` by comparing the saturation at the omitted variable
+    with the listed power of the prime of the same order."""
+    loc = Q.saturate_var(prime.omitted)
+    if loc == prime.power(Q.n, loc.order):
+        return loc.order
+    return None
+
+
+def reg_dim1_by_probing(Q: MonomialIdeal) -> tuple[int, int]:
+    """`reg_dim1_saturated` of a saturated one-dimensional Q: the first
+    degree t where HF(t) = HF(t - 1), and that value."""
+    prev = 0
+    for t in count():
+        cur = Q.hilbert_function(t)
+        if cur == prev:
+            return t, cur
+        prev = cur
+
+
 def form_of_family_by_meet(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
     """`_form_of_family` that also intersects the prime powers of every
     member and compares the meet with the member."""
@@ -435,7 +478,8 @@ def power_colengths_by_products(I: MonomialIdeal):
 def h_polynomial_by_filtration(
     I: MonomialIdeal, budget: int = DEFAULT_TERM_BUDGET
 ) -> HilbertSeries:
-    """`h_polynomial` from the colengths of the ideal powers."""
+    """`h_polynomial` from the colengths of the ideal powers, stopped by the
+    window of zeros alone: it agrees wherever that window is exact."""
     if I.is_zero() or I.is_unit() or I.colength() is None:
         raise ValueError("power filtration needs a proper finite-colength ideal")
-    return _h_of_colengths(I.n, power_colengths_by_products(I), budget)
+    return _h_of_colengths(I.n, power_colengths_by_products(I), budget, None)

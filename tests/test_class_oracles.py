@@ -3,9 +3,10 @@ component ideal and checks each family fact once.
 
 `q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family` and
 `factor_C` are compared with the routes in `tests/oracles.py` built on the
-listed component ideals of `MonomialIdeal.component`, which is compared
-with the lcm route there; `goto_form` and `localize_power` with the
-meet-checking and projecting routes there.
+listed component ideals of `component_by_listing`, which is compared with
+the lcm route there; `goto_form` and `localize_power` with the
+meet-checking, projecting and listing routes there, and
+`reg_dim1_saturated` with the degree-by-degree probe.
 """
 
 import random
@@ -18,6 +19,7 @@ from gideal import (
     CoordinatePrime,
     FamilyError,
     MonomialIdeal,
+    QFamily,
     factor_C,
     gform_to_monomial,
     goto_form,
@@ -27,6 +29,7 @@ from gideal import (
     is_in_C,
     localize_power,
     q_family,
+    reg_dim1_saturated,
 )
 from gideal.classes import _family_in_C
 from gideal.cli import _classify_ideal
@@ -34,15 +37,18 @@ from gideal.cli import _classify_ideal
 from counting import count_calls
 from oracles import (
     component_by_lcm,
+    component_by_listing,
     factor_C_by_compositions,
     family_in_C_by_listing,
     form_of_family_by_meet,
     ideal_of_family_by_listing,
     is_contracted_by_listing,
     local_families,
+    localize_power_by_listing,
     localize_power_by_projection,
     q_family_by_listing,
     recovered_by_compositions,
+    reg_dim1_by_probing,
 )
 from samplers import (
     random_class_c,
@@ -82,8 +88,38 @@ def finite_samples(seed: int, per_kind: int) -> list[MonomialIdeal]:
     return out
 
 
+def random_member(rng: random.Random, n: int) -> MonomialIdeal:
+    """A saturated one-dimensional ideal: the meet of ideals primary to
+    distinct coordinate primes, each of finite colength in the variables
+    of its prime."""
+    Q = MonomialIdeal.unit(n)
+    for w in rng.sample(range(n), rng.randint(1, n)):
+        local = random_finite_ideal(rng, n - 1, max_deg=3)
+        Q = Q & MonomialIdeal.of(n, [g[:w] + (0,) + g[w:] for g in local.gens])
+    return Q
+
+
+def distinct_members(seed: int, per_n: int) -> list[MonomialIdeal]:
+    """The distinct family members of the finite samples and of the ideals
+    rebuilt from one-member families of `random_member`, n = 2-4."""
+    rng = random.Random(seed)
+    ideals = list(FINITE)
+    for n in (2, 3, 4):
+        for _ in range(per_n):
+            fam = QFamily(n, (random_member(rng, n),))
+            ideals.append(ideal_of_family(fam, rng.randint(0, 2)))
+    members = {}
+    for I in ideals:
+        try:
+            members.update(dict.fromkeys(q_family(I).members))
+        except FamilyError:
+            continue
+    return list(members)
+
+
 FINITE = finite_samples(71, 120)
 FINITE_C = [(I, fam) for I in FINITE if (fam := _family_in_C(I)[0]) is not None]
+MEMBERS = distinct_members(29, 60)
 SMALL = [
     random_small_ideal(random.Random(1000 * n + k), n)
     for n in range(2, 6)
@@ -100,6 +136,8 @@ def family_or_error(fn, I):
 
 def test_sample_counts():
     assert (len(FINITE), len(SMALL)) == (900, 800)
+    assert len(MEMBERS) >= 250
+    assert {Q.n for Q in MEMBERS} == {2, 3, 4}
 
 
 @pytest.mark.parametrize("group", ["finite", "small"])
@@ -110,7 +148,7 @@ def test_contracted_and_component_match_listing(group):
         assert answer == is_contracted_by_listing(I), I
         answers.add(answer)
         for j in range(I.max_degree + 2):
-            assert I.component(j) == component_by_lcm(I, j), (I, j)
+            assert component_by_listing(I, j) == component_by_lcm(I, j), (I, j)
     assert answers == {True, False}
 
 
@@ -118,7 +156,18 @@ def test_component_of_zero_and_unit_ideals():
     for n in (1, 2, 4):
         for I in (MonomialIdeal.zero(n), MonomialIdeal.unit(n)):
             for j in range(4):
-                assert I.component(j) == component_by_lcm(I, j)
+                assert component_by_listing(I, j) == component_by_lcm(I, j)
+
+
+def test_member_components_match_listing():
+    # the class layer saturates the generators of degree <= t, which is the
+    # saturation of the listed degree-t component
+    for Q in MEMBERS:
+        for t in range(Q.order, Q.max_degree + 2):
+            listed = component_by_listing(Q, t)
+            assert listed == component_by_lcm(Q, t), (Q, t)
+            low = [g for g in Q.gens if sum(g) <= t]
+            assert listed.saturate() == MonomialIdeal(Q.n, tuple(low)).saturate()
 
 
 def test_family_layer_matches_listing():
@@ -155,10 +204,13 @@ def test_reconstruction_matches_listing_on_well_formed_families():
 class TestNoComponentListed:
     @pytest.fixture(autouse=True)
     def forbid_component(self, monkeypatch):
+        # the package has no component method; one that came back would
+        # be replaced here, so any call into it fails
         def forbidden(self, j):
             raise AssertionError("the class layer listed a component ideal")
 
-        monkeypatch.setattr(MonomialIdeal, "component", forbidden)
+        assert not hasattr(MonomialIdeal, "component")
+        monkeypatch.setattr(MonomialIdeal, "component", forbidden, raising=False)
 
     def ideals(self):
         rng = random.Random(5)
@@ -246,6 +298,22 @@ def test_localize_power_matches_projection(group):
             assert answer == localize_power_by_projection(I, P), (I, w)
             answers.add(answer is None)
     assert answers == {True, False}
+
+
+def test_localize_power_matches_listing_on_members():
+    answers = set()
+    for Q in MEMBERS:
+        for w in range(Q.n):
+            P = CoordinatePrime(w)
+            answer = localize_power(Q, P)
+            assert answer == localize_power_by_listing(Q, P), (Q, w)
+            answers.add(answer is None)
+    assert answers == {True, False}
+
+
+def test_reg_dim1_matches_probing_on_members():
+    for Q in MEMBERS:
+        assert reg_dim1_saturated(Q) == reg_dim1_by_probing(Q), Q
 
 
 def test_factor_checks_members_without_products(monkeypatch):

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import gideal.classes
+import gideal.newton
 from gideal import (
     CoordinatePrime,
     FamilyError,
@@ -33,7 +35,8 @@ from gideal import (
     q_family,
 )
 
-from oracles import is_contracted_by_listing
+from counting import count_calls
+from oracles import component_by_listing, is_contracted_by_listing
 from samplers import embed_pairs, random_class_c, random_gstar
 
 
@@ -119,7 +122,7 @@ class TestContracted:
         assert (I.max_degree, sat.max_degree) == (5, 6)
         assert (1, 1, 1, 3) in sat.gens
         for t in range(I.order, 6):
-            Q_t = I.component(t).saturate()
+            Q_t = component_by_listing(I, t).saturate()
             assert Q_t.hilbert_function(t) == I.hilbert_function(t)
         assert (sat.hilbert_function(6), I.hilbert_function(6)) == (61, 62)
         assert not is_contracted(I)
@@ -237,11 +240,22 @@ class TestClosureInClass:
 
     def test_random_closures_land_in_D(self):
         rng = random.Random(47)
+        M = MonomialIdeal.maximal(3)
         for _ in range(10):
             I = random_class_c(rng)
             closed = closure_in_class(I)
             assert is_in_D(closed)
             assert I <= closed
+            # closing commutes with multiplying by the maximal ideal
+            assert newton_closure(M * I) == M * closed
+
+    def test_computes_one_closure(self, monkeypatch):
+        calls = count_calls(monkeypatch, gideal.classes, "newton_closure")
+        calls += count_calls(monkeypatch, gideal.newton, "newton_closure")
+        rng = random.Random(53)
+        for k in range(1, 6):
+            closure_in_class(random_class_c(rng))
+            assert len(calls) == k
 
 
 class TestAlphaConversion:

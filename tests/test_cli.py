@@ -173,6 +173,14 @@ class TestHilbert:
         assert str(h) == "4 + z"
         assert out == f"I: h = {h}, e = 5, colength = 4\n"
 
+    def test_negative_coefficient(self, ideal_file, capsys):
+        text = "ring 3 vars x,y,z; ideal I = x^2,x*y,x*z,y^3,y^2*z,z^3;\n"
+        assert main(["hilbert", ideal_file(text)]) == 0
+        out = capsys.readouterr().out
+        assert out == "I: h = 8 + 4*z + 3*z^2 - z^3, e = 14, colength = 8\n"
+        assert main(["hilbert", "--json", ideal_file(text)]) == 0
+        assert json.loads(capsys.readouterr().out)["ideals"]["I"]["h"] == [8, 4, 3, -1]
+
     def test_terms_budget_too_small(self, ideal_file, capsys):
         code = main(["hilbert", "--terms", "2", ideal_file(THREE_PRIMES)])
         assert code == 1

