@@ -1,27 +1,23 @@
-"""Integral closure of monomial ideals via exact Newton-polyhedron tests.
+"""Integral closure of monomial ideals from the facets of the Newton polyhedron.
 
-A monomial x^v lies in the integral closure of I exactly when v is
-componentwise above a convex combination of the exponent vectors of I.
-Membership is decided by an exact integer simplex.  Each solve caches its
-optimal basis with its dual (w, c), scaled to integers.  The dual is
-feasible for every point, so w.v < c puts v outside.  The reduced costs do
-not depend on the point, so the basis stays optimal for every point in its
-cone (where it stays feasible), and there w.v >= c puts v inside.  The
-simplex runs only for points that no cached dual rejects and no cached
-basis covers.
+A monomial x^v lies in the integral closure of I exactly when v lies in
+the Newton polyhedron NP(I), the convex hull of the exponent vectors of
+I plus the non-negative orthant.  Its facets other than the coordinate
+hyperplanes are the inequalities w.v >= c, with c > 0, that are extreme
+rays (w, c) of the cone {w >= 0, w.g >= c for every generator g}.
+`_facets` finds those rays by the double description method in exact
+integers (Motzkin et al. 1953; Fukuda and Prodon 1996), so membership is
+one dot product per facet and no linear program is solved.
 
 The closure is found column by column along the last exponent.  The
-closure is an ideal, so the height of a column (its least member) never
-increases as the other exponents grow.  Each column starts at the least
-of the heights of its neighbours one step lower, the generator of I in
-the column and a degree cap, a point that is a member or lies past the
-cap.  The walk queries downward from there and stops at the first point
-outside, so no query is a point of I and membership needs no
-divisibility scan.  Minimal generators have degree at most D + n - 1 for
-the largest generator degree D, which caps the heights and makes the
-walk finite.  Heights are kept for only two values of the first
-exponent, so memory grows with the number of generators found, not with
-the number of columns walked.
+height of a column, its least member, is read off the facets in closed
+form.  The closure is an ideal, so heights never increase as the other
+exponents grow, and a column is a minimal generator's exactly when its
+height is below those of its neighbours one step lower.  Minimal
+generators have degree at most D + n - 1 for the largest generator
+degree D, which caps the heights and makes the walk finite.  Heights are
+kept for only two values of the first exponent, so memory grows with
+the number of generators found, not with the number of columns walked.
 """
 
 from __future__ import annotations
@@ -29,43 +25,51 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .ideals import MonomialIdeal, mono_deg
-from .lp import max_convex_cover
+from .ideals import MonomialIdeal
 
 
-class NewtonMembership:
-    """Membership oracle for conv(gens(I)) + the non-negative orthant, with
-    one cached list of optimal bases whose duals both reject and decide."""
+def _facets(gens, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The facets (w, c) of NP(gens) with c > 0, each as the primitive
+    integer vector with w.v >= c on NP and equality on the facet.
 
-    def __init__(self, ideal: MonomialIdeal):
-        if ideal.is_zero():
-            raise ValueError("the zero ideal has no Newton polyhedron")
-        self.ideal = ideal
-        self._unit = ideal.is_unit()
-        self.columns = list(ideal.gens)
-        # optimal bases (R, w, c) of earlier solves: w.v < c puts v outside,
-        # and where R.v >= 0 the basis stays optimal and w.v >= c decides
-        self._bases: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]] = []
-
-    def contains(self, v: tuple[int, ...]) -> bool:
-        if self._unit:
-            return True
-        # a dual never rejects a point of the polyhedron, so the cheap test
-        # goes first, newest first: the walk queries near the last solve
-        if any(sum(map(mul, w, v)) < c for _, w, c in reversed(self._bases)):
-            return False
-        if mono_deg(v) < self.ideal.order:
-            return False
-        # no dual rejects v, so a basis that stays optimal at v puts it inside
-        for R, _, _ in self._bases:
-            if all(sum(map(mul, r, v)) >= 0 for r in R):
-                return True
-        opt, dual, R = max_convex_cover(self.columns, tuple(v))
-        den = 1
-        for y in dual:
-            den = den * y.denominator // gcd(den, y.denominator)
-        self._bases.append((R, tuple(int(y * den) for y in dual), den))
-        return opt >= 1
+    Double description on the cone of (w, c) in n + 1 dimensions.  The
+    first cone is cut by the n rows w_i >= 0 and the first generator; it
+    is simplicial, with rays (e_i, g_i) and (0, -1).  Each further
+    generator g cuts by w.g - c >= 0: rays on its non-negative side stay,
+    and each adjacent pair of rays on opposite sides is joined into one
+    ray on the cut.  Two rays are adjacent exactly when no third ray is
+    tight at every constraint tight at both, which is read off bitmasks of
+    tight constraints (bit i for w_i >= 0, bit n + j for generator j).
+    The cone is pointed, so its extreme rays generate it; those with
+    c <= 0 are (e_i, 0) and (0, -1), which state only v >= 0.
+    """
+    first = gens[0]
+    full = (1 << (n + 1)) - 1
+    rays = [
+        ((0,) * i + (1,) + (0,) * (n - 1 - i) + (first[i],), full ^ (1 << i))
+        for i in range(n)
+    ]
+    rays.append(((0,) * n + (-1,), full >> 1))
+    for j, g in enumerate(gens[1:], n + 1):
+        bit = 1 << j
+        cut = [sum(map(mul, r, g)) - r[n] for r, _ in rays]
+        kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, cut) if s >= 0]
+        masks = [z for _, z in rays]
+        neg = [(k, q, zq, s) for k, ((q, zq), s) in enumerate(zip(rays, cut)) if s < 0]
+        for i, ((p, zp), sp) in enumerate(zip(rays, cut)):
+            if sp <= 0:
+                continue
+            for k, q, zq, sq in neg:
+                common = zp & zq
+                if common.bit_count() < n - 1 or any(
+                    z & common == common for h, z in enumerate(masks) if h != i and h != k
+                ):
+                    continue
+                ray = [sp * b - sq * a for a, b in zip(p, q)]
+                d = gcd(*ray)
+                kept.append((tuple(x // d for x in ray), common | bit))
+        rays = kept
+    return [(r[:n], r[n]) for r, _ in rays if r[n] > 0]
 
 
 def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
@@ -73,37 +77,42 @@ def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
 
     The walk runs over columns: a prefix p = v[:-1] names the column of
     points (p, z), and its height h(p) is the least z with (p, z) in the
-    closure.  The closure is an ideal, so h(p) <= h(p - e_i): heights never
-    increase along p.  A column starts at a point known to be a member, the
-    least of h(p - e_i) over i with p_i > 0 and of the last exponent of the
-    generator of I with prefix p (minimal generators have distinct
-    prefixes), and queries downward until the first point outside.  No
-    queried point (p, z) lies in I: z is below the generator with prefix
-    p, and a generator (q, w) with q < p has q <= p - e_i for some i, so
-    z < h(p - e_i) <= w.  (p, h(p)) is a minimal generator exactly when
-    h(p) < h(p - e_i) for every i with p_i > 0.
+    closure.  A facet (w, c), split as w = (w', w_n), holds at (p, z)
+    exactly when w_n * z >= c - w'.p.  So when w_n > 0 it asks
+    z >= ceil((c - w'.p) / w_n), and h(p) is the largest of those bounds,
+    or 0.  A facet with w_n = 0 asks w'.p >= c whatever z is, and when it
+    fails the column holds no point of the closure; such facets occur
+    only when I is not m-primary.  The closure is an ideal, so
+    h(p) <= h(p - e_i): heights never increase along p, and (p, h(p)) is a
+    minimal generator exactly when h(p) < h(p - e_i) for every i with
+    p_i > 0.
 
     Every minimal generator has degree at most D + n - 1, where D is the
     largest generator degree: a lattice point of the Newton polyhedron with
     total slack n or more over its witness combination can be decremented
-    in some coordinate.  So no point above degree D + n is queried: the
-    walk counts them as members, which caps every height at D + n + 1 - |p|
-    and makes the prefixes of positive height a finite down-set.  Those are
-    walked in lex order, and a coordinate's loop ends at its first column
-    of height 0.  So the result contains I by construction: a generator
-    (p, w) of I has h(p) <= w when its column is walked, since the column
-    starts at or below w, and lies above a walked column of height 0
-    otherwise.  A minimal generator of degree D + n raises, re-asserting
-    the bound at runtime.  Heights are kept for two values of the first
-    exponent, the current and the previous one, since every p - e_i has
-    one of those.
+    in some coordinate.  So every height is capped at D + n + 1 - |p|, an
+    empty column included, which makes the prefixes of positive height a
+    finite down-set.  Those are walked in lex order, and a coordinate's
+    loop ends at its first column of height 0.  The result contains I: a
+    generator (p, w) of I lies in the Newton polyhedron and below the cap,
+    so h(p) <= w when its column is walked, and it lies above a walked
+    column of height 0 otherwise.  A minimal generator of degree D + n
+    raises, re-asserting the bound at runtime.  Heights are kept for two
+    values of the first exponent, the current and the previous one, since
+    every p - e_i has one of those.
     """
     if I.is_zero() or I.is_unit():
         return I
     n, m = I.n, I.n - 1
-    contains = NewtonMembership(I).contains
     top = I.max_degree + n
-    own = {g[:-1]: g[-1] for g in I.gens}
+    # a facet with w_n > 0 bounds every height from below; one with
+    # w_n = 0 leaves the columns it cuts off at the cap
+    walls, floors = [], []
+    for w, c in _facets(I.gens, n):
+        if w[-1]:
+            floors.append((w[:-1], w[-1], c - 1))
+        else:
+            walls.append((w[:-1], c))
     found: list[tuple[int, ...]] = []
     prev: dict[tuple[int, ...], int] = {}
     cur: dict[tuple[int, ...], int] = {}
@@ -117,9 +126,15 @@ def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
             if p[i]:
                 below = min(below, cur.get(key[: i - 1] + (p[i] - 1,) + key[i:], 0))
         deg = sum(p)
-        z = min(below, own.get(prefix, below), top + 1 - deg)
-        while z and contains(prefix + (z - 1,)):
-            z -= 1
+        z = top + 1 - deg
+        if not walls or all(sum(map(mul, w, p)) >= c for w, c in walls):
+            h = 0
+            for w, wn, c in floors:
+                # ceil((c - w'.p) / w_n), from c - 1 stored in floors
+                t = (c - sum(map(mul, w, p))) // wn + 1
+                if t > h:
+                    h = t
+            z = min(z, h)
         cur[key] = z
         if z < below and deg + z <= top:
             if deg + z == top:
@@ -141,4 +156,3 @@ def newton_closure(I: MonomialIdeal) -> MonomialIdeal:
 
 def is_integrally_closed(I: MonomialIdeal) -> bool:
     return newton_closure(I) == I
-

@@ -10,14 +10,16 @@ the package imports this module.
   Newton-polyhedron `newton_closure`.
 - `newton_closure_by_degrees`: integral closure by a walk up the degrees
   through the monomials outside it, against the column walk of
-  `newton_closure`.
+  `newton_closure`.  It shares the facets of `newton._facets`, so it
+  checks the walk and not the facets.
 - `hilbert_function_incl_excl`: the Hilbert function by
   inclusion-exclusion over the generators, against the sliced
   `MonomialIdeal.hilbert_function`.
 - `colength_by_box`: the colength by testing every monomial below the
   pure powers, against the sliced `MonomialIdeal.colength`.
-- `max_convex_cover_fractions`: the simplex over `Fraction` entries,
-  against the fraction-free integer tableau of `lp.max_convex_cover`.
+- `max_convex_cover_fractions`: membership in the Newton polyhedron by
+  the simplex over `Fraction` entries (a point is inside exactly when the
+  optimum reaches 1), against the facets of `newton._facets`.
 - `component_by_listing` and `component_by_lcm`: the degree-j component
   ideal as every degree-j multiple of every generator, and as the
   generators of degree at most j intersected with M^j.  The package lists
@@ -62,7 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 from math import comb
-from operator import add
+from operator import add, mul
 
 from gideal import (
     CFactorization,
@@ -79,7 +81,7 @@ from gideal import (
 from gideal.classes import FamilyError, _omitted_variables
 from gideal.hilbert import DEFAULT_TERM_BUDGET, HilbertSeries, _h_of_colengths
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
-from gideal.newton import NewtonMembership
+from gideal.newton import _facets
 
 
 def closure_seq_minplus(a: Staircase) -> Staircase:
@@ -138,21 +140,30 @@ def newton_closure_by_degrees(I: MonomialIdeal) -> MonomialIdeal:
     Keeps only the monomials outside the closure.  A minimal generator of
     degree d has all of its degree-(d-1) divisors outside, so the degree-d
     candidates are the one-step multiples of the previous outside set whose
-    every such divisor is outside too.  Each candidate is tested for
-    membership in I and then in the Newton polyhedron, up to degree D + n
-    for the largest generator degree D.
+    every such divisor is outside too.  Each candidate is tested against
+    every facet of the Newton polyhedron, up to degree D + n for the
+    largest generator degree D.
+
+    The facets come from `newton._facets`, the kernel `newton_closure`
+    reads its heights from, so this checks the column walk and not the
+    facets.  The facets are checked against `max_convex_cover_fractions`
+    on every point of a box (`test_facets_match_fraction_simplex_on_a_box`
+    in `test_newton.py`) and, through the whole closure, against
+    `closure_by_powers`.  Membership by the `Fraction` simplex here would
+    share no kernel, but on the ideals of `test_matches_degree_walk` it
+    took 51.5 s against 0.16 s (Python 3.11, 2 CPUs).
     """
     if I.is_zero() or I.is_unit():
         return I
     n = I.n
-    member = NewtonMembership(I)
+    facets = _facets(I.gens, n)
     lo, hi = I.order, I.max_degree + n - 1
     found: list[tuple[int, ...]] = []
     cands = monomials_of_degree(n, lo)
     for degree in range(lo, hi + 2):
         outside = []
         for v in cands:
-            if not (I.contains_monomial(v) or member.contains(v)):
+            if any(sum(map(mul, w, v)) < c for w, c in facets):
                 outside.append(v)
             elif degree > hi:
                 raise RuntimeError("integral closure generated above the degree bound")

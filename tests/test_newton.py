@@ -1,7 +1,7 @@
 """Integral closure via the Newton polyhedron, cross-checked against the
 power-membership oracle and the degree walk, plus direct checks of the
-integer simplex against the `Fraction` oracle and of the membership caches
-against fresh solves."""
+facets against membership by the `Fraction` simplex oracle and of that
+simplex's certificates."""
 
 import itertools
 import random
@@ -10,10 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from gideal import MonomialIdeal, is_integrally_closed, newton_closure
-from gideal.lp import max_convex_cover
-from gideal.newton import NewtonMembership
+import gideal.newton
+from gideal import (
+    GForm,
+    MonomialIdeal,
+    Staircase,
+    gform_to_monomial,
+    is_in_G,
+    is_integrally_closed,
+    newton_closure,
+)
+from gideal.newton import _facets
 
+from counting import count_calls
 from oracles import (
     closure_by_powers,
     max_convex_cover_fractions,
@@ -26,20 +35,24 @@ def I2(*gens):
     return MonomialIdeal.of(2, gens)
 
 
+def inside(facets, v):
+    return all(sum(a * b for a, b in zip(w, v)) >= c for w, c in facets)
+
+
 class TestSimplex:
     def test_two_pure_squares(self):
-        opt, dual, _ = max_convex_cover([(2, 0), (0, 2)], (1, 1))
+        opt, dual = max_convex_cover_fractions([(2, 0), (0, 2)], (1, 1))
         assert opt == 1
         assert len(dual) == 2
 
     def test_fractional_optimum(self):
-        opt, _, _ = max_convex_cover([(2, 0), (0, 3)], (1, 1))
+        opt, _ = max_convex_cover_fractions([(2, 0), (0, 3)], (1, 1))
         assert opt == Fraction(1, 2) + Fraction(1, 3)
 
     def test_dual_is_separating_certificate(self):
         columns = [(3, 0, 0), (0, 3, 0), (1, 1, 1)]
         rhs = (1, 1, 0)
-        opt, dual, _ = max_convex_cover(columns, rhs)
+        opt, dual = max_convex_cover_fractions(columns, rhs)
         assert opt < 1
         assert all(y >= 0 for y in dual)
         assert sum(y * r for y, r in zip(dual, rhs)) == opt
@@ -56,99 +69,36 @@ class TestSimplex:
                 if any(col):
                     columns.append(col)
             rhs = tuple(rng.randint(0, 12) for _ in range(n))
-            opt, dual, _ = max_convex_cover(columns, rhs)
+            opt, dual = max_convex_cover_fractions(columns, rhs)
             assert len(dual) == n
             assert all(y >= 0 for y in dual)
             assert sum(y * r for y, r in zip(dual, rhs)) == opt
             for col in columns:
                 assert sum(y * c for y, c in zip(dual, col)) >= 1
 
-    def test_matches_fraction_oracle(self):
-        rng = random.Random(89)
-        for _ in range(3000):
-            n, m = rng.randint(1, 5), rng.randint(1, 30)
-            columns = []
-            while len(columns) < m:
-                col = tuple(rng.randint(0, 9) for _ in range(n))
-                if any(col):
-                    columns.append(col)
-            rhs = tuple(rng.randint(0, 20) for _ in range(n))
-            opt, dual, rows = max_convex_cover(columns, rhs)
-            assert (opt, dual) == max_convex_cover_fractions(columns, rhs)
-            # the returned basis is primal feasible for rhs
-            assert all(sum(r * b for r, b in zip(row, rhs)) >= 0 for row in rows)
-
-    def test_basis_rows_give_optimum_elsewhere(self):
-        rng = random.Random(97)
-        reused = 0
-        for _ in range(300):
-            n, m = rng.randint(1, 4), rng.randint(1, 10)
-            columns = []
-            while len(columns) < m:
-                col = tuple(rng.randint(0, 6) for _ in range(n))
-                if any(col):
-                    columns.append(col)
-            rhs = tuple(rng.randint(0, 12) for _ in range(n))
-            _, dual, rows = max_convex_cover(columns, rhs)
-            for _ in range(5):
-                v = tuple(rng.randint(0, 12) for _ in range(n))
-                if all(sum(r * b for r, b in zip(row, v)) >= 0 for row in rows):
-                    reused += 1
-                    got = max_convex_cover_fractions(columns, v)[0]
-                    assert got == sum(y * b for y, b in zip(dual, v))
-        assert reused >= 300
-
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError):
-            max_convex_cover([(0, 0)], (1, 1))
+            max_convex_cover_fractions([(0, 0)], (1, 1))
 
     def test_exact_rationals_no_drift(self):
-        opt, _, _ = max_convex_cover([(7, 0), (0, 11)], (1, 1))
+        opt, _ = max_convex_cover_fractions([(7, 0), (0, 11)], (1, 1))
         assert opt == Fraction(1, 7) + Fraction(1, 11)
 
 
 class TestMembership:
     def test_boundary_point_is_inside(self):
-        m = NewtonMembership(I2((2, 0), (0, 2)))
-        assert m.contains((1, 1))
-        assert not m.contains((1, 0))
+        facets = _facets(I2((2, 0), (0, 2)).gens, 2)
+        assert facets == [((1, 1), 2)]
+        assert inside(facets, (1, 1))
+        assert not inside(facets, (1, 0))
 
     def test_divisibility_fast_path(self):
-        m = NewtonMembership(I2((1, 2)))
-        assert m.contains((2, 2))
-        assert not m.contains((0, 2))
-
-    def test_cached_separator_rejects_without_simplex(self, monkeypatch):
-        m = NewtonMembership(I2((4, 0), (0, 2)))
-        assert not m.contains((3, 0))
-        assert len(m._bases) == 1
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return max_convex_cover(*args)
-
-        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
-        assert not m.contains((1, 1))
-        assert not m.contains((0, 1))
-        assert calls == []
-        assert m.contains((4, 0))
-        assert m.contains((2, 1))
-
-    def test_dual_of_an_inside_solve_rejects(self, monkeypatch):
-        m = NewtonMembership(
-            MonomialIdeal.of(3, [(5, 0, 0), (0, 3, 0), (0, 0, 5), (3, 0, 1), (0, 1, 3)])
-        )
-        assert m.contains((0, 2, 2))
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return max_convex_cover(*args)
-
-        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
-        assert not m.contains((1, 2, 0))
-        assert calls == []
+        # a principal ideal is its own closure: the facets are x >= 1 and
+        # y >= 2, so membership is divisibility
+        facets = _facets(I2((1, 2)).gens, 2)
+        assert sorted(facets) == [((0, 1), 2), ((1, 0), 1)]
+        assert inside(facets, (2, 2))
+        assert not inside(facets, (0, 2))
 
     def test_unit_ideal_decided_once(self, monkeypatch):
         calls = []
@@ -158,30 +108,47 @@ class TestMembership:
             calls.append(self)
             return is_unit(self)
 
+        # the unit ideal has no facet, so every point is inside
+        assert _facets(MonomialIdeal.unit(2).gens, 2) == []
         monkeypatch.setattr(MonomialIdeal, "is_unit", counting)
-        m = NewtonMembership(I2((3, 0), (1, 1), (0, 3)))
-        assert [m.contains(v) for v in [(0, 0), (1, 1), (2, 0), (0, 5)]] == [
-            False, True, False, True,
-        ]
-        u = NewtonMembership(MonomialIdeal.unit(2))
-        assert u.contains((0, 0)) and u.contains((3, 1))
+        I = I2((3, 0), (1, 1), (0, 3))
+        assert newton_closure(I) == I
+        U = MonomialIdeal.unit(2)
+        assert newton_closure(U) == U
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_cached_answers_match_fresh_solves(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_facets_match_fraction_simplex_on_a_box(self, n):
         rng = random.Random(101 + n)
-        side = {2: 9, 3: 6, 4: 4}[n]
-        box = list(itertools.product(range(side), repeat=n))
+        side = {2: 9, 3: 6, 4: 4, 5: 3}[n]
+        count = 6 if n < 5 else 2
         ideals = []
-        for _ in range(6):
+        for _ in range(count):
             ideals.append(random_finite_ideal(rng, n, max_deg=side))
             ideals.append(random_small_ideal(rng, n, max_deg=side, max_gens=6))
+        box = list(itertools.product(range(side), repeat=n))
         for I in ideals:
-            m = NewtonMembership(I)
-            rng.shuffle(box)
+            facets = _facets(I.gens, n)
             for v in box:
-                fresh = max_convex_cover(m.columns, v)[0] >= 1
-                assert m.contains(v) == fresh, (I.gens, v)
+                member = max_convex_cover_fractions(list(I.gens), v)[0] >= 1
+                assert inside(facets, v) == member, (I.gens, v)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_facets_of_a_power_scale(self, k):
+        # NP(I^k) = k NP(I), and a facet's (w, c) stays primitive when c is
+        # scaled, since w alone is primitive
+        rng = random.Random(107 + k)
+        ideals = []
+        for n in (2, 3, 4):
+            for _ in range(4):
+                ideals.append(random_finite_ideal(rng, n, max_deg=4))
+                ideals.append(random_small_ideal(rng, n, max_deg=4, max_gens=4))
+        assert sum(I.colength() is None for I in ideals) >= 8
+        for I in ideals:
+            want = {(w, k * c) for w, c in _facets(I.gens, I.n)}
+            got = _facets((I**k).gens, I.n)
+            assert len(got) == len(want)
+            assert set(got) == want, I.gens
 
 
 class TestClosure:
@@ -246,18 +213,13 @@ class TestClosure:
         Z = MonomialIdeal.zero(2)
         assert newton_closure(Z) == Z
 
-    def test_reuses_bases_along_long_faces(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return max_convex_cover(*args)
-
-        monkeypatch.setattr("gideal.newton.max_convex_cover", counting)
+    def test_one_facet_computation_per_closure(self, monkeypatch):
+        calls = count_calls(monkeypatch, gideal.newton, "_facets")
         I = MonomialIdeal.of(3, [(61, 0, 0), (0, 59, 0), (0, 0, 64), (1, 1, 1)])
         closed = newton_closure(I)
         assert len(closed.gens) == 180
-        assert len(calls) <= 10
+        assert len(calls) == 1
+        assert len(_facets(*calls[0])) == 3
 
     def test_matches_degree_walk(self):
         rng = random.Random(29)
@@ -278,20 +240,6 @@ class TestClosure:
             assert closed.contains_ideal(I), I.gens
             assert closed == newton_closure_by_degrees(I), I.gens
 
-    def test_queries_only_outside_points_of_I(self, monkeypatch):
-        queried = []
-        contains = NewtonMembership.contains
-
-        def recording(self, v):
-            queried.append(v)
-            return contains(self, v)
-
-        monkeypatch.setattr(NewtonMembership, "contains", recording)
-        I = MonomialIdeal.of(3, [(61, 0, 0), (0, 59, 0), (0, 0, 64), (1, 1, 1)])
-        assert len(newton_closure(I).gens) == 180
-        assert len(queried) <= 2500
-        assert not any(I.contains_monomial(v) for v in queried)
-
     def test_memory_stays_flat(self):
         I = MonomialIdeal.of(3, [(300, 0, 0), (0, 300, 0), (0, 0, 300), (1, 1, 1)])
         tracemalloc.start()
@@ -306,3 +254,14 @@ class TestClosure:
     def test_principal_is_closed(self):
         I = MonomialIdeal.of(3, [(1, 2, 0)])
         assert is_integrally_closed(I)
+
+    def test_order_8_form_and_its_powers_are_closed(self):
+        # I is in G and integrally closed, so in G*; G* is closed under
+        # product (abstract), so its square and cube are integrally closed
+        form = GForm.of(8, {w: Staircase((0, 2, 3)) for w in range(4)})
+        I = gform_to_monomial(form, 4)
+        assert is_in_G(I) == form
+        square = I * I
+        cube = square * I
+        assert len(cube.gens) == 2925
+        assert all(is_integrally_closed(J) for J in (I, square, cube))
