@@ -1,10 +1,13 @@
 """Command-line interface: classify, factor, close, simple-factor,
 hilbert, verify-examples.
 
-One JSON-serializable report per run; the human rendering is a thin view
-of the same data.  Exit codes: 0 success, 1 mathematical failure, 2
-usage or parse error.  For hilbert and verify-examples, GIDEAL_BUDGET
-(overridden by --terms) bounds the power filtration.
+Each command but verify-examples reads one ideal document: `_COMMANDS`
+maps it to a handler (ideal, variable names, term budget) -> report and to
+the renderer of that report as text.  One JSON-serializable report per
+run; the human rendering is a thin view of the same data.  Exit codes: 0
+success, 1 mathematical failure, 2 usage or parse error.  For hilbert and
+verify-examples, GIDEAL_BUDGET (overridden by --terms) bounds the power
+filtration.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from .classes import (
     _family_in_C,
@@ -43,7 +45,7 @@ def _gens(I: MonomialIdeal, names) -> list[str]:
     return [format_monomial(g, names) for g in I.gens]
 
 
-def _classify_ideal(I: MonomialIdeal) -> dict:
+def _classify_ideal(I: MonomialIdeal, names, budget) -> dict:
     reasons = {}
     fam, c_reason = _family_in_C(I)
     # a proper member of C passed the contractedness test in `_family_in_C`
@@ -71,7 +73,7 @@ def _classify_ideal(I: MonomialIdeal) -> dict:
     }
 
 
-def _factor_ideal(I: MonomialIdeal, names) -> dict:
+def _factor_ideal(I: MonomialIdeal, names, budget) -> dict:
     fac = factor_C(I)
     return {
         "factors": [_gens(f, names) for f in fac.factors],
@@ -79,7 +81,7 @@ def _factor_ideal(I: MonomialIdeal, names) -> dict:
     }
 
 
-def _close_ideal(I: MonomialIdeal, names) -> dict:
+def _close_ideal(I: MonomialIdeal, names, budget) -> dict:
     closed = newton_closure(I)
     return {
         "generators": _gens(closed, names),
@@ -87,7 +89,7 @@ def _close_ideal(I: MonomialIdeal, names) -> dict:
     }
 
 
-def _simple_factor_ideal(I: MonomialIdeal, names) -> dict:
+def _simple_factor_ideal(I: MonomialIdeal, names, budget) -> dict:
     form, reason = goto_form(I)
     if form is None:
         raise ValueError(f"not in G: {reason}")
@@ -103,24 +105,13 @@ def _simple_factor_ideal(I: MonomialIdeal, names) -> dict:
     }
 
 
-def _hilbert_ideal(I: MonomialIdeal, budget: int) -> dict:
+def _hilbert_ideal(I: MonomialIdeal, names, budget: int) -> dict:
     h = h_polynomial(I, budget)
     return {
         "h": list(h.coeffs),
         "e": h.e,
         "colength": I.colength(),
     }
-
-
-def _ideal_handler(command: str, names, budget: int | None):
-    """The per-ideal handler of a command, bound to what it reads."""
-    return {
-        "classify": _classify_ideal,
-        "factor": partial(_factor_ideal, names=names),
-        "close": partial(_close_ideal, names=names),
-        "simple-factor": partial(_simple_factor_ideal, names=names),
-        "hilbert": partial(_hilbert_ideal, budget=budget),
-    }[command]
 
 
 def _render_classify(name: str, rep: dict) -> list[str]:
@@ -160,12 +151,12 @@ def _render_hilbert(name: str, rep: dict) -> list[str]:
     return [f"{name}: h = {h}, e = {rep['e']}, colength = {rep['colength']}"]
 
 
-_RENDERERS = {
-    "classify": _render_classify,
-    "factor": _render_factor,
-    "close": _render_close,
-    "simple-factor": _render_simple_factor,
-    "hilbert": _render_hilbert,
+_COMMANDS = {
+    "classify": (_classify_ideal, _render_classify),
+    "factor": (_factor_ideal, _render_factor),
+    "close": (_close_ideal, _render_close),
+    "simple-factor": (_simple_factor_ideal, _render_simple_factor),
+    "hilbert": (_hilbert_ideal, _render_hilbert),
 }
 
 
@@ -192,21 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify, factor and close monomial ideals of finite colength.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, needs_file, uses_budget in (
-        ("classify", True, False),
-        ("factor", True, False),
-        ("close", True, False),
-        ("simple-factor", True, False),
-        ("hilbert", True, True),
-        ("verify-examples", False, True),
-    ):
+    for cmd in (*_COMMANDS, "verify-examples"):
         p = sub.add_parser(cmd)
-        if uses_budget:
+        if cmd in ("hilbert", "verify-examples"):
             p.add_argument("--terms", type=int, default=None,
                            help="power-filtration term budget")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the JSON report instead of text")
-        if needs_file:
+        if cmd in _COMMANDS:
             p.add_argument("file", help="ideal document to read")
     return parser
 
@@ -220,13 +204,12 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def _run_on_document(command: str, doc: IdealDocument, budget: int | None,
                      as_json: bool) -> int:
-    handler = _ideal_handler(command, doc.names, budget)
-    renderer = _RENDERERS[command]
+    handler, renderer = _COMMANDS[command]
     per_ideal = {}
     lines = []
     for name, ideal in doc.ideals:
         try:
-            rep = handler(ideal)
+            rep = handler(ideal, doc.names, budget)
         except _MATH_ERRORS as err:
             print(f"gideal {command}: {name}: {_message(err)}", file=sys.stderr)
             return 1
@@ -275,12 +258,10 @@ def main(argv=None) -> int:
         return _run_examples(budget, args.as_json)
     try:
         with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+            doc = parse_document(fh.read())
     except OSError as err:
         print(f"gideal: cannot read {args.file}: {err}", file=sys.stderr)
         return 2
-    try:
-        doc = parse_document(text)
     except ParseError as err:
         print(f"gideal: {args.file}: {err}", file=sys.stderr)
         return 2

@@ -18,16 +18,16 @@ The class test in front of that route is the length identity of
 value per family member, so an ideal outside C costs next to nothing there.
 Every other ideal builds its powers.
 
-The series of a power M^c of the maximal ideal needs no ideal arithmetic:
-colength(M^m) = C(m+n-1, n), so HF is a polynomial in k of degree n-1 for
-every k >= 0; h then has degree below n, and the window of n+2 zeros closes
-by k = 2n+1.
+The series of a power M^c of the maximal ideal needs no ideal arithmetic
+and no stop rule: colength(M^m) = C(m+n-1, n) is a polynomial in m for every
+m >= 0, so HF is a polynomial in k of degree n-1 for every k >= 0, h has
+degree below n, and h_0..h_(n-1) are exact from HF(0..n-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from math import comb
 
 from .classes import (
@@ -166,11 +166,16 @@ def h_polynomial(
 
 
 def _series_of_max_power(n: int, c: int) -> HilbertSeries:
-    """h of M^c from colength(M^(ck)) = C(ck+n-1, n); no power is built."""
+    """h of M^c from colength(M^(ck)) = C(ck+n-1, n); no power is built, and
+    h_j = sum_i (-1)^i C(n,i) HF(j-i) is read for j < n only."""
     if c == 0:
         raise ValueError("zero-th power of the maximal ideal is not proper")
-    colengths = (comb(c * k + n - 1, n) for k in count(1))
-    return _h_of_colengths(n, colengths, 2 * n + 1, None)
+    hf = [comb(c * k + c + n - 1, n) - comb(c * k + n - 1, n) for k in range(n)]
+    h = [sum((-1) ** i * comb(n, i) * hf[j - i] for i in range(j + 1))
+         for j in range(n)]
+    while h[-1] == 0:
+        h.pop()
+    return HilbertSeries(n, tuple(h))
 
 
 def hs_via_factorization(

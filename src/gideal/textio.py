@@ -7,10 +7,14 @@ Grammar (whitespace-insensitive):
 
 where <mono> is a *-separated product of var(^exp)? factors, or the
 literal 1 for the unit monomial.  Errors carry exact line/column.
+
+Tokens come from one regular expression, `_TOKEN`: only a line feed starts
+a new line, and any other whitespace character is one column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ideals import EXPONENT_LIMIT, MonomialIdeal, Monomial
@@ -31,46 +35,29 @@ class Token:
     col: int
 
 
-_PUNCT = set(",;=^*")
+# one token per match: a decimal run, a name, a punctuation mark, a line
+# break, or other whitespace (skipped); `\w` also matches the digits and
+# numerals that are not decimal, such as "\u00b2", so a name must start
+# with a letter or "_"
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>\w+)|(?P<punct>[,;=^*])|(?P<nl>\n)|\s")
 
 
 def _tokenize(text: str) -> list[Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            out.append(Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            out.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    out.append(Token("end", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        ch = text[pos]
+        kind = m.lastgroup if m else None
+        if m is None or kind == "ident" and not (ch.isalpha() or ch == "_"):
+            raise ParseError(line, col, f"unexpected character {ch!r}")
+        pos = m.end()
+        if kind == "nl":
+            line, line_start = line + 1, pos
+        elif kind:
+            out.append(Token(kind, m.group(), line, col))
+    out.append(Token("end", "", line, pos - line_start + 1))
     return out
 
 
@@ -108,28 +95,20 @@ class _Parser:
     def fail(self, tok: Token, message: str):
         raise ParseError(tok.line, tok.col, message)
 
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.take()
-        if tok.kind != "punct" or tok.value != ch:
-            self.fail(tok, f"expected {ch!r}, found {tok.value!r}")
-        return tok
+    def at(self, mark: str) -> bool:
+        return self.peek().value == mark
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect(self, want: str, kind: str = "") -> Token:
+        """Take the next token: one of `kind`, described as `want`, or with
+        no kind the punctuation mark or keyword `want` itself."""
         tok = self.take()
-        if tok.kind != "ident" or tok.value != word:
-            self.fail(tok, f"expected {word!r}, found {tok.value!r}")
-        return tok
-
-    def expect_ident(self, what: str) -> Token:
-        tok = self.take()
-        if tok.kind != "ident":
-            self.fail(tok, f"expected {what}, found {tok.value!r}")
+        if tok.kind != kind if kind else tok.value != want:
+            shown = want if kind else repr(want)
+            self.fail(tok, f"expected {shown}, found {tok.value!r}")
         return tok
 
     def expect_int(self, what: str) -> tuple[int, Token]:
-        tok = self.take()
-        if tok.kind != "int":
-            self.fail(tok, f"expected {what}, found {tok.value!r}")
+        tok = self.expect(what, "int")
         # every integer the grammar accepts is below EXPONENT_LIMIT, and
         # int() refuses very long strings, so the length past the leading
         # zeros (of any script) decides first
@@ -147,11 +126,11 @@ class _Parser:
                 self.fail(tok, f"expected a monomial, found {tok.value!r}")
             return tuple(exps)
         while True:
-            tok = self.expect_ident("a variable")
+            tok = self.expect("a variable", "ident")
             if tok.value not in index:
                 self.fail(tok, f"unknown variable {tok.value}")
             e, etok = 1, tok
-            if self.peek().kind == "punct" and self.peek().value == "^":
+            if self.at("^"):
                 self.take()
                 e, etok = self.expect_int("an exponent")
             # repeated factors add up, so the limit applies to the running sum
@@ -159,41 +138,41 @@ class _Parser:
             exps[i] += e
             if exps[i] >= EXPONENT_LIMIT:
                 self.fail(etok, f"exponent {exps[i]} is too large")
-            if self.peek().kind == "punct" and self.peek().value == "*":
+            if self.at("*"):
                 self.take()
                 continue
             return tuple(exps)
 
     def document(self) -> IdealDocument:
-        self.expect_keyword("ring")
+        self.expect("ring")
         n, ntok = self.expect_int("a variable count")
         if n < 1:
             self.fail(ntok, "a ring needs at least one variable")
-        self.expect_keyword("vars")
+        self.expect("vars")
         names = []
         for k in range(n):
-            tok = self.expect_ident("a variable name")
+            tok = self.expect("a variable name", "ident")
             if tok.value in names:
                 self.fail(tok, f"duplicate variable {tok.value}")
             names.append(tok.value)
             if k + 1 < n:
-                self.expect_punct(",")
-        self.expect_punct(";")
+                self.expect(",")
+        self.expect(";")
         index = {nm: i for i, nm in enumerate(names)}
         ideals = []
         seen = set()
         while self.peek().kind != "end":
-            self.expect_keyword("ideal")
-            name_tok = self.expect_ident("an ideal name")
+            self.expect("ideal")
+            name_tok = self.expect("an ideal name", "ident")
             if name_tok.value in seen:
                 self.fail(name_tok, f"duplicate ideal {name_tok.value}")
             seen.add(name_tok.value)
-            self.expect_punct("=")
+            self.expect("=")
             monos = [self.monomial(index, n)]
-            while self.peek().kind == "punct" and self.peek().value == ",":
+            while self.at(","):
                 self.take()
                 monos.append(self.monomial(index, n))
-            self.expect_punct(";")
+            self.expect(";")
             ideals.append((name_tok.value, MonomialIdeal.of(n, monos)))
         if not ideals:
             self.fail(self.peek(), "expected at least one ideal declaration")

@@ -49,6 +49,10 @@ the package imports this module.
   h-polynomial read off them, against `hf_filtration` and `h_polynomial`,
   which take the colengths of the powers of a member of G from the powers
   of its Goto form.
+- `tokenize_by_scanning`: the tokens of a text document by a scan of one
+  character at a time with the `str` predicates `isdecimal`, `isalpha`,
+  `isalnum` and `isspace`, against the one regular expression of
+  `textio._tokenize`.
 
 The package computes each answer once.  Where a shipped function already
 inverts another, the tests use it as the second route: `factor_simple`
@@ -82,6 +86,7 @@ from gideal.classes import FamilyError, _omitted_variables
 from gideal.hilbert import DEFAULT_TERM_BUDGET, HilbertSeries, _h_of_colengths
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
 from gideal.newton import _facets
+from gideal.textio import ParseError, Token
 
 
 def closure_seq_minplus(a: Staircase) -> Staircase:
@@ -494,3 +499,49 @@ def h_polynomial_by_filtration(
     if I.is_zero() or I.is_unit() or I.colength() is None:
         raise ValueError("power filtration needs a proper finite-colength ideal")
     return _h_of_colengths(I.n, power_colengths_by_products(I), budget, None)
+
+
+_PUNCT = set(",;=^*")
+
+
+def tokenize_by_scanning(text: str) -> list[Token]:
+    """`textio._tokenize` by hand: a decimal run is an integer, a letter or
+    "_" followed by letters, digits and "_" is a name, and "\\n" alone
+    starts a new line."""
+    out = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in _PUNCT:
+            out.append(Token("punct", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            out.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(line, col, f"unexpected character {ch!r}")
+    out.append(Token("end", "", line, col))
+    return out

@@ -227,12 +227,12 @@ class TestNoComponentListed:
             goto_form(I)
             factor_C(I)
             hs_via_factorization(I)
-            _classify_ideal(I)
+            _classify_ideal(I, (), None)
 
     def test_ladder(self):
         I = ladder(30)
         assert is_contracted(I)
-        assert _classify_ideal(I)["in_G"]
+        assert _classify_ideal(I, (), None)["in_G"]
         assert len(factor_C(I).factors) == 3
 
 
@@ -338,7 +338,7 @@ def test_classify_reuses_the_contractedness_of_C(monkeypatch):
         count_calls(monkeypatch, module, "is_contracted")
         for module in (gideal.classes, gideal.cli)
     ]
-    assert _classify_ideal(THREE_PRIMES)["contracted"] is True
+    assert _classify_ideal(THREE_PRIMES, (), None)["contracted"] is True
     assert counted == [[], []]
 
 

@@ -191,6 +191,25 @@ class TestExactStopInTwoVariables:
             assert _hull_multiplicity(I) == c3 - 2 * c2 + c1, I
 
 
+class TestWindowStopInThreeVariables:
+    """From three variables the window of zeros alone stops h, and it can
+    stop too early: for (x^3, y^5, z^4, xy^2z, x^2y^4) it gives
+    h = 41 + 11z + 4z^2 + z^3 + z^4, so e = 58, where the true e is 59."""
+
+    I = I3((3, 0, 0), (0, 5, 0), (0, 0, 4), (1, 2, 1), (2, 4, 0))
+
+    def test_closure_colengths_give_59(self):
+        # colength(closure(I^k)) is a polynomial of degree 3 in k from k = 0
+        # on, with leading coefficient e/3!, so e is its third difference
+        E = [newton_closure(self.I**k).colength() for k in range(4)]
+        assert E == [0, 24, 129, 374]
+        assert E[3] - 3 * E[2] + 3 * E[1] - E[0] == 59
+
+    @pytest.mark.xfail(strict=True, reason="the window of zeros stops h early")
+    def test_multiplicity_is_59(self):
+        assert multiplicity_e(self.I) == 59
+
+
 class TestFormat:
     def test_negative_coefficient_is_a_subtraction(self):
         assert format_h((8, 4, 3, -1)) == "8 + 4*z + 3*z^2 - z^3"

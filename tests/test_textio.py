@@ -1,4 +1,8 @@
-"""Text format: grammar, error positions, and formatting roundtrips."""
+"""Text format: grammar, error positions, formatting roundtrips, and the
+lexer against the hand scanner of `oracles`."""
+
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,8 @@ from gideal import (
     format_monomial,
     parse_document,
 )
+from gideal.textio import _tokenize
+from oracles import tokenize_by_scanning
 
 
 class TestParse:
@@ -171,3 +177,38 @@ class TestRoundtripProperty:
             ("x", "y", "z"), (("I", MonomialIdeal.of(3, gens)),)
         )
         assert parse_document(format_document(doc)) == doc
+
+
+# the grammar's marks, letters, ASCII and Arabic-Indic digits, "_", a
+# superscript digit and a vulgar fraction (word characters that are not
+# letters), a stray "?", and whitespace: a line feed and seven others that
+# take one column each
+LEXER_ALPHABET = (
+    ",;=^*" + "xyzIé" + "0123" + "\u0660\u0661\u0663" + "_\u00b2\u00bd?"
+    + " \t\n\r\x0b\x1c\u2028\u00a0"
+)
+
+
+def lexed(tokenize, text):
+    """The tokens of text, or the message and position of its parse error."""
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+class TestLexer:
+    def test_matches_hand_scanner_on_random_strings(self):
+        rng = random.Random(7919)
+        for _ in range(20_000):
+            text = "".join(rng.choices(LEXER_ALPHABET, k=rng.randint(0, 24)))
+            assert lexed(_tokenize, text) == lexed(tokenize_by_scanning, text), text
+
+    def test_character_classes_match_str_predicates(self):
+        # `_TOKEN` relies on these three agreeing on every code point
+        digit, word, space = re.compile(r"\d"), re.compile(r"\w"), re.compile(r"\s")
+        for cp in range(0x10000):
+            ch = chr(cp)
+            assert bool(digit.match(ch)) == ch.isdecimal(), hex(cp)
+            assert bool(word.match(ch)) == (ch.isalnum() or ch == "_"), hex(cp)
+            assert bool(space.match(ch)) == ch.isspace(), hex(cp)
