@@ -14,9 +14,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import comb
 
-from .ideals import CoordinatePrime, MonomialIdeal, _reg_dim1, localize_power
+from .ideals import CoordinatePrime, MonomialIdeal, _prime_power, _reg_dim1
 from .newton import is_integrally_closed, newton_closure
 from .staircases import (
     Staircase,
@@ -246,39 +247,38 @@ class CFactorization:
     balance: tuple[int, int]
 
 
-def _omitted_variables(fam: QFamily, n: int) -> list[int]:
-    """The variable each minimal prime of the first member omits, sorted:
-    the member is one-dimensional, so each of them has height n - 1."""
-    covers = fam.members[0].minimal_primes()
-    return sorted(min(set(range(n)) - cover) for cover in covers)
+def _local_families(fam: QFamily) -> dict[int, QFamily]:
+    """The family localized at each minimal prime P_w of its first member, by
+    omitted variable w.  A saturated one-dimensional member lies in P_w when
+    no generator is a pure power of x_w, and localizes there to the
+    saturated `saturate_var(w)`; a local family ends before its first unit
+    member and is valid, and a run of equal members is saturated once."""
+    out = {}
+    for w in range(fam.n):
+        members = []
+        for Q, run in groupby(fam.members):
+            if any(g[w] == sum(g) for g in Q.gens):
+                break
+            members += [Q.saturate_var(w)] * len(list(run))
+        if members:
+            out[w] = QFamily(fam.n, tuple(members))
+    return out
 
 
 def factor_C(I: MonomialIdeal) -> CFactorization:
     """Split a member of C along the minimal primes of its first member.
 
-    Each factor is the ideal of the family localized at one minimal prime;
-    the balance exponents make the product identity exact, and it is
-    checked.  A saturated one-dimensional monomial ideal is the
-    intersection of its localizations at its minimal primes, so the local
-    members meet in the member they came from; the tests compare the two.
+    Each factor is the ideal of one local family of `_local_families`; the
+    balance exponents make the product identity exact, and it is checked.
+    A saturated one-dimensional monomial ideal is the intersection of its
+    localizations at its minimal primes, so the local members meet in the
+    member they came from; the tests compare the two.
     """
     fam, reason = _family_in_C(I)
     if fam is None:
         raise ValueError(f"not in C: {reason}")
-    d = I.order
-    n = I.n
-    if fam.s == 0:
-        return CFactorization((), (0, d))
-    factors = []
-    for omega in _omitted_variables(fam, n):
-        members = []
-        for m in fam.members:
-            loc = m.saturate_var(omega)
-            if loc.is_unit():
-                break
-            members.append(loc)
-        # saturations at one variable of saturated members: a valid family
-        factors.append(ideal_of_family(QFamily(n, tuple(members)), 0))
+    d, n = I.order, I.n
+    factors = [ideal_of_family(lf, 0) for lf in _local_families(fam).values()]
     total = sum(f.order for f in factors)
     s, r = max(0, total - d), max(0, d - total)
     left = I * MonomialIdeal.max_power(n, s)
@@ -416,27 +416,22 @@ def goto_form(I: MonomialIdeal) -> tuple[GForm | None, str]:
 def _form_of_family(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None, str]:
     """`goto_form` of I, given its family from `_family_in_C`.
 
-    That family has been shown to rebuild I, and the form records the
-    prime powers whose meets are its members (the unit prefix `GForm`
-    strips leaves `staircase_alphas` unchanged), so `gform_to_monomial`
-    realizes the form as I; the tests compare the two.
+    The prime powers are read off `_local_families` (0 past the end of a
+    local family); a failure names the first failing member, then the
+    smallest omitted variable.  The family rebuilds I, and the form
+    records the prime powers whose meets are its members, so
+    `gform_to_monomial` realizes the form as I; the tests compare the two.
     """
-    n = I.n
-    if fam.s == 0:
-        return GForm.of(I.order, {}), ""
-    omegas = _omitted_variables(fam, n)
-    columns = {omega: [] for omega in omegas}
-    for j in range(fam.s):
-        for omega in omegas:
-            a = localize_power(fam.q(j), CoordinatePrime(omega))
-            if a is None:
-                return (
-                    None,
-                    f"localization of member {j} at the prime omitting variable "
-                    f"{omega} is not a prime power",
-                )
-            columns[omega].append(a)
-    mapping = {omega: alphas_to_staircase(col) for omega, col in columns.items()}
+    columns = {
+        w: [_prime_power(Q) for Q in lf.members]
+        for w, lf in _local_families(fam).items()
+    }
+    failed = [(col.index(None), w) for w, col in columns.items() if None in col]
+    if failed:
+        j, w = min(failed)
+        return None, (f"localization of member {j} at the prime omitting "
+                      f"variable {w} is not a prime power")
+    mapping = {w: alphas_to_staircase(col) for w, col in columns.items()}
     return GForm.of(I.order, mapping), ""
 
 

@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             doc = parse_document(fh.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"gideal: cannot read {args.file}: {err}", file=sys.stderr)
         return 2
     except ParseError as err:

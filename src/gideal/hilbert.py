@@ -117,10 +117,15 @@ def _hull_multiplicity(I: MonomialIdeal) -> int:
     return sum(abs(p[0] * q[1] - p[1] * q[0]) for p, q in zip(hull, hull[1:]))
 
 
+def _h_coefficient(n: int, hf: list[int], j: int) -> int:
+    """h_j = sum_i (-1)^i C(n,i) HF(j-i) of the series h(z)/(1-z)^n."""
+    return sum((-1) ** i * comb(n, i) * hf[j - i] for i in range(min(j, n) + 1))
+
+
 def _h_of_colengths(n: int, colengths, budget: int, e: int | None) -> HilbertSeries:
     """h-coefficients from the colengths of the first filtration terms.
 
-    h_j = sum_i (-1)^i C(n,i) HF(j-i); the sequence is accepted once n+2
+    h_j is read off HF(0..j); the sequence is accepted once n+2
     consecutive values vanish after a nonzero one and, unless e is None,
     the values sum to the multiplicity e.  At most budget + 1
     colengths are drawn, and the budget is checked before each draw.
@@ -131,11 +136,8 @@ def _h_of_colengths(n: int, colengths, budget: int, e: int | None) -> HilbertSer
     for j, cur in zip(range(budget + 1), colengths):
         hf.append(cur - prev)
         prev = cur
-        hj = sum(
-            (-1) ** i * comb(n, i) * hf[j - i] for i in range(min(j, n) + 1)
-        )
-        coeffs.append(hj)
-        zeros = zeros + 1 if hj == 0 else 0
+        coeffs.append(_h_coefficient(n, hf, j))
+        zeros = zeros + 1 if coeffs[-1] == 0 else 0
         if zeros >= n + 2 and any(coeffs) and (e is None or sum(coeffs) == e):
             while coeffs[-1] == 0:
                 coeffs.pop()
@@ -167,12 +169,11 @@ def h_polynomial(
 
 def _series_of_max_power(n: int, c: int) -> HilbertSeries:
     """h of M^c from colength(M^(ck)) = C(ck+n-1, n); no power is built, and
-    h_j = sum_i (-1)^i C(n,i) HF(j-i) is read for j < n only."""
+    h_j is read for j < n only."""
     if c == 0:
         raise ValueError("zero-th power of the maximal ideal is not proper")
     hf = [comb(c * k + c + n - 1, n) - comb(c * k + n - 1, n) for k in range(n)]
-    h = [sum((-1) ** i * comb(n, i) * hf[j - i] for i in range(j + 1))
-         for j in range(n)]
+    h = [_h_coefficient(n, hf, j) for j in range(n)]
     while h[-1] == 0:
         h.pop()
     return HilbertSeries(n, tuple(h))

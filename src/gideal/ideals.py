@@ -399,9 +399,7 @@ def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     """Power a with Q R_P ∩ R = P^a, or None when not a prime power.
 
     The localization of a monomial ideal at a coordinate prime P, contracted
-    back to R, is its saturation at the omitted variable, generated in the
-    other n - 1 variables: it is P^a exactly when all its generators have
-    degree a and there are C(a+n-2, n-2) of them, every such monomial.
+    back to R, is its saturation at the omitted variable (`_prime_power`).
     """
     if Q.n < 2:
         raise ValueError("localization needs at least two variables")
@@ -410,9 +408,14 @@ def localize_power(Q: MonomialIdeal, prime: CoordinatePrime) -> int | None:
     w = prime.omitted
     if not 0 <= w < Q.n:
         raise ValueError(f"omitted index {w} out of range")
-    loc = Q.saturate_var(w)
+    return _prime_power(Q.saturate_var(w))
+
+
+def _prime_power(loc: MonomialIdeal) -> int | None:
+    """a when loc, generated in the variables of a coordinate prime P, is
+    P^a: all C(a+n-2, n-2) monomials of degree a; else None."""
     a = loc.order
-    if loc.max_degree == a and loc.mu == comb(a + Q.n - 2, Q.n - 2):
+    if loc.max_degree == a and loc.mu == comb(a + loc.n - 2, loc.n - 2):
         return a
     return None
 

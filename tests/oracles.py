@@ -33,7 +33,10 @@ the package imports this module.
   the local products over every composition of j
   (`recovered_by_compositions`), against the saturations by generator
   degree, the contractedness test of C and the intersection of the local
-  members in `gideal.classes`.
+  members in `gideal.classes`.  `local_families` finds the minimal primes
+  as minimal transversals of the generator supports and saturates every
+  member, against `_local_families`, which reads the primes off the pure
+  powers and saturates each run of equal members once.
 - `localize_power_by_projection`, `localize_power_by_listing` and
   `form_of_family_by_meet`: the localization read in n - 1 variables, the
   localization compared with the listed prime power of its order, and
@@ -82,7 +85,7 @@ from gideal import (
     minplus_product,
     newton_closure,
 )
-from gideal.classes import FamilyError, _omitted_variables
+from gideal.classes import FamilyError
 from gideal.hilbert import DEFAULT_TERM_BUDGET, HilbertSeries, _h_of_colengths
 from gideal.ideals import _minimal, mono_deg, mono_lcm, monomials_of_degree
 from gideal.newton import _facets
@@ -357,9 +360,11 @@ def family_in_C_by_listing(I: MonomialIdeal) -> tuple[QFamily | None, str]:
 
 def local_families(fam: QFamily) -> list[QFamily]:
     """The family localized at each minimal prime of its first member, in
-    the order of the omitted variables."""
+    the order of the variables they omit: the minimal transversals of the
+    generator supports, each of n - 1 variables."""
+    covers = fam.members[0].minimal_primes()
     out = []
-    for omega in _omitted_variables(fam, fam.n):
+    for omega in sorted(min(set(range(fam.n)) - cover) for cover in covers):
         members = []
         for m in fam.members:
             loc = m.saturate_var(omega)
@@ -453,7 +458,8 @@ def form_of_family_by_meet(I: MonomialIdeal, fam: QFamily) -> tuple[GForm | None
     n = I.n
     if fam.s == 0:
         return GForm.of(I.order, {}), ""
-    omegas = _omitted_variables(fam, n)
+    covers = fam.members[0].minimal_primes()
+    omegas = sorted(min(set(range(n)) - cover) for cover in covers)
     columns = {omega: [] for omega in omegas}
     for j in range(fam.s):
         Q = fam.q(j)

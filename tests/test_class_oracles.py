@@ -1,8 +1,8 @@
 """The class layer against its listing oracles, and guards that it lists no
 component ideal and checks each family fact once.
 
-`q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family` and
-`factor_C` are compared with the routes in `tests/oracles.py` built on the
+`q_family`, `is_contracted`, `_family_in_C`, `ideal_of_family`,
+`_local_families` and `factor_C` are compared with the routes in `tests/oracles.py` built on the
 listed component ideals of `component_by_listing`, which is compared with
 the lcm route there; `goto_form` and `localize_power` with the
 meet-checking, projecting and listing routes there, and
@@ -31,7 +31,7 @@ from gideal import (
     q_family,
     reg_dim1_saturated,
 )
-from gideal.classes import _family_in_C
+from gideal.classes import _family_in_C, _local_families
 from gideal.cli import _classify_ideal
 
 from counting import count_calls
@@ -53,6 +53,7 @@ from oracles import (
 from samplers import (
     random_class_c,
     random_finite_ideal,
+    random_form,
     random_gstar,
     random_small_ideal,
 )
@@ -364,3 +365,57 @@ def test_family_checks_each_distinct_member_once(monkeypatch):
     assert q_family(ladder(100)).s == 98
     # one distinct member, (xy, yz, xz), from degree 2 to 99
     assert len(calls) == 1
+
+
+def test_local_families_match_minimal_primes():
+    # the primes are read off the pure powers of the first member and each
+    # run of equal members is saturated once; the oracle finds the primes as
+    # minimal transversals and saturates every member
+    rng = random.Random(53)
+    ideals = [random_class_c(rng) for _ in range(60)]
+    ideals += [random_gstar(rng)[0] for _ in range(60)]
+    ideals += [random_form(rng, 4)[0] for _ in range(60)]
+    ideals += [ladder(30), THREE_PRIMES, MonomialIdeal.max_power(3, 2)]
+    shapes = set()
+    for I in ideals:
+        fam = q_family(I)
+        local = _local_families(fam)
+        if not fam.s:
+            assert local == {}, I
+            shapes.add("all-unit")
+            continue
+        covers = fam.members[0].minimal_primes()
+        assert list(local) == sorted(min(set(range(I.n)) - c) for c in covers), I
+        assert list(local.values()) == local_families(fam), I
+        shapes.add(len(local))
+        if any(len(set(lf.members)) < lf.s for lf in local.values()):
+            shapes.add("repeated")
+        if any(lf.s < fam.s for lf in local.values()):
+            shapes.add("shorter")
+    assert {"all-unit", 1, 2, 3, "repeated", "shorter"} <= shapes
+
+
+def test_goto_form_saturates_each_distinct_member_once(monkeypatch):
+    calls = count_calls(monkeypatch, MonomialIdeal, "saturate_var")
+    assert goto_form(ladder(10**4))[0] is not None
+    # two saturations of three variables build the family, whose one
+    # distinct member is then localized at its three minimal primes
+    assert len(calls) <= 12
+
+
+def test_goto_form_names_the_first_failing_member():
+    # member 0 fails at the prime omitting y and member 1 at the prime
+    # omitting x: the reason names member 0
+    Q0 = MonomialIdeal.of(3, [(0, 2, 0), (0, 1, 1), (0, 0, 2)]) & MonomialIdeal.of(
+        3, [(2, 0, 0), (0, 0, 1)]
+    )
+    Q1 = MonomialIdeal.of(3, [(0, 2, 0), (0, 0, 1)]) & MonomialIdeal.of(
+        3, [(1, 0, 0), (0, 0, 1)]
+    )
+    I = ideal_of_family(QFamily.of(3, [Q0, Q1]), 0)
+    reason = (
+        "localization of member 0 at the prime omitting variable 1 is not a "
+        "prime power"
+    )
+    assert goto_form(I) == (None, reason)
+    assert form_of_family_by_meet(I, _family_in_C(I)[0]) == (None, reason)

@@ -248,6 +248,14 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err != ""
 
+    def test_file_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("ring 1 vars \u00e9; ideal I = \u00e9;\n".encode("latin-1"))
+        code = main(["classify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"gideal: cannot read {path}: 'utf-8' codec can't")
+
     def test_summed_exponent_overflow_exit_two(self, ideal_file):
         path = ideal_file(
             "ring 2 vars x,y; ideal I = x^2147483647*x^2147483647, y;\n"
